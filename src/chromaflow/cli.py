@@ -17,7 +17,7 @@ from .errors import ChromaflowError, ParseError
 from .multigraph import MultiGraph
 from .oracle import oracle_chromatic, oracle_flow
 from .outerplanar import flow_outerplanar
-from .polyring import IntPoly
+from .polyring import IntPoly, _digits
 from .vjtree import VertexJoinTree, chromatic_vjtree
 from .wheels import (
     PhiString,
@@ -26,10 +26,6 @@ from .wheels import (
     flow_wheel,
     phi_dual,
 )
-
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse's default error handler prints a usage block; the wire
@@ -45,6 +41,23 @@ def _int_list(text: str, what: str) -> list[int]:
         raise ParseError(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
+def _lines(path: str):
+    # (line number, text) of each non-blank line of a UTF-8 file, with
+    # `#` comments cut off.
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}")
+    with fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text")
+
+
 def parse_vjt_file(path: str) -> VertexJoinTree:
     """`vjt n` header, n-1 `edge u v` lines, `join v mult` lines.
 
@@ -54,30 +67,22 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
     n = None
     edges: list[tuple[int, int]] = []
     mult: dict[int, int] = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            try:
-                if tok[0] == "vjt" and len(tok) == 2 and n is None:
-                    n = int(tok[1])
-                elif tok[0] == "edge" and len(tok) == 3 and n is not None:
-                    edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
-                elif tok[0] == "join" and len(tok) == 3 and n is not None:
-                    v, m = int(tok[1]) - 1, int(tok[2])
-                    if m < 1:
-                        raise ParseError(f"{path}:{lineno}: join multiplicity must be >= 1")
-                    mult[v] = mult.get(v, 0) + m
-                else:
-                    raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
+    for lineno, line in _lines(path):
+        tok = line.split()
+        try:
+            if tok[0] == "vjt" and len(tok) == 2 and n is None:
+                n = int(tok[1])
+            elif tok[0] == "edge" and len(tok) == 3 and n is not None:
+                edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
+            elif tok[0] == "join" and len(tok) == 3 and n is not None:
+                v, m = int(tok[1]) - 1, int(tok[2])
+                if m < 1:
+                    raise ParseError(f"{path}:{lineno}: join multiplicity must be >= 1")
+                mult[v] = mult.get(v, 0) + m
+            else:
+                raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
     if n is None:
         raise ParseError(f"{path}: missing 'vjt <n>' header")
     if len(edges) != n - 1:
@@ -92,25 +97,17 @@ def parse_gr_file(path: str) -> MultiGraph:
     """DIMACS-like: `p edge n m` header then m `e u v` lines, 1-indexed."""
     header = None
     edges: list[tuple[int, int]] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            try:
-                if tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and header is None:
-                    header = (int(tok[2]), int(tok[3]))
-                elif tok[0] == "e" and len(tok) == 3 and header is not None:
-                    edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
-                else:
-                    raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
+    for lineno, line in _lines(path):
+        tok = line.split()
+        try:
+            if tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and header is None:
+                header = (int(tok[2]), int(tok[3]))
+            elif tok[0] == "e" and len(tok) == 3 and header is not None:
+                edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
+            else:
+                raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
     if header is None:
         raise ParseError(f"{path}: missing 'p edge <n> <m>' header")
     n, m = header
@@ -125,7 +122,7 @@ def parse_gr_file(path: str) -> MultiGraph:
 def format_poly(p: IntPoly) -> str:
     if p.is_zero():
         return "poly 0"
-    return "poly " + " ".join(str(c) for c in p.coeffs)
+    return "poly " + " ".join(_digits(c) for c in p.coeffs)
 
 
 _PARSER = None
@@ -207,7 +204,7 @@ def _dispatch(args) -> list[str]:
     lines = [format_poly(poly)]
     if getattr(args, "eval_points", None):
         for t in _int_list(args.eval_points, "--eval"):
-            lines.append(f"eval {t} {poly.evaluate(t)}")
+            lines.append(f"eval {t} {_digits(poly.evaluate(t))}")
     return lines
 
 

@@ -40,7 +40,7 @@ class NotOuterplanar(ChromaflowError):
 
 
 class NotBiconnected(ChromaflowError):
-    """Input component has a cut vertex (or is disconnected)."""
+    """find_outer_cycle's input has a cut vertex (or is disconnected)."""
 
 
 class NoSpokes(ChromaflowError):

@@ -93,12 +93,13 @@ def random_outerplanar_block(rng: random.Random, n_max: int = 10,
 def random_outerplanar(rng: random.Random, n_max: int = 10, mult_max: int = 3,
                        max_loops: int = 2, p_extra_component: float = 0.3,
                        p_isolated: float = 0.2, with_bridge: bool = False,
-                       max_edges: int = 16) -> MultiGraph:
+                       max_edges: int = 16, p_glued: float = 0.0) -> MultiGraph:
     """Random outerplanar multigraph: blocks, loops, stray vertices.
 
     with_bridge grafts a pendant edge onto the first block, which must
-    force a zero flow polynomial.  Vertex labels are shuffled so code
-    cannot rely on blocks occupying contiguous id ranges.
+    force a zero flow polynomial; p_glued is the chance of one more
+    block sharing a (cut) vertex with the others.  Vertex labels are
+    shuffled so code cannot rely on blocks occupying contiguous ids.
     """
     while True:
         blocks = [random_outerplanar_block(rng, n_max, mult_max)]
@@ -109,6 +110,13 @@ def random_outerplanar(rng: random.Random, n_max: int = 10, mult_max: int = 3,
         for block in blocks:
             edges += [(u + offset, v + offset) for u, v in block]
             offset += 1 + max(max(e) for e in block)
+        # Drawn only when asked for, so the default corpus stays as it was.
+        if p_glued and rng.random() < p_glued:
+            block = random_outerplanar_block(rng, max(2, n_max // 2), mult_max)
+            at = rng.randrange(offset)
+            edges += [(at if u == 0 else u - 1 + offset, at if v == 0 else v - 1 + offset)
+                      for u, v in block]
+            offset += max(max(e) for e in block)
         for _ in range(rng.randint(0, max_loops)):
             v = rng.randrange(offset)
             edges.append((v, v))

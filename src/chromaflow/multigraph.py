@@ -90,48 +90,59 @@ class MultiGraph:
             groups.setdefault(find(v), []).append(v)
         return [tuple(groups[r]) for r in sorted(groups)]
 
-    def bridges(self) -> frozenset[int]:
-        """Edge ids whose removal disconnects their component.
+    def blocks(self) -> list[tuple[int, ...]]:
+        """Sorted edge ids of each biconnected block, as the search closes it.
 
-        Standard low-link DFS, tracking the entering edge by id so a
-        parallel copy counts as a cycle rather than the tree edge.
-        Loops and parallel edges are never bridges.
+        Low-link DFS (Hopcroft-Tarjan) over stacked edges, tracking the
+        entering edge by id so a parallel copy of it closes a cycle.
+        Loops belong to no block; a bridge is a block of one edge.
         """
         disc = [-1] * self.n
         low = [0] * self.n
         adj = self.adjacency()
-        found: set[int] = set()
+        found: list[tuple[int, ...]] = []
+        edge_stack: list[int] = []
         timer = 0
         for root in range(self.n):
             if disc[root] >= 0:
                 continue
             disc[root] = low[root] = timer
             timer += 1
-            stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
-                (root, -1, iter(adj[root]))
+            # (vertex, entering edge, unseen neighbors, its edge_stack slot)
+            stack: list[tuple[int, int, Iterator[tuple[int, int]], int]] = [
+                (root, -1, iter(adj[root]), 0)
             ]
             while stack:
-                v, pe, it = stack[-1]
-                pushed = False
+                v, pe, it, at = stack[-1]
                 for w, eid in it:
                     if disc[w] < 0:
                         disc[w] = low[w] = timer
                         timer += 1
-                        stack.append((w, eid, iter(adj[w])))
-                        pushed = True
+                        stack.append((w, eid, iter(adj[w]), len(edge_stack)))
+                        edge_stack.append(eid)
                         break
-                    if eid != pe and disc[w] < low[v]:
-                        low[v] = disc[w]
-                if pushed:
-                    continue
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        found.add(pe)
-        return frozenset(found)
+                    # Each back edge is stacked once, from its descendant end.
+                    if eid != pe and disc[w] < disc[v]:
+                        edge_stack.append(eid)
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        if low[v] < low[p]:
+                            low[p] = low[v]
+                        if low[v] >= disc[p]:
+                            found.append(tuple(sorted(edge_stack[at:])))
+                            del edge_stack[at:]
+        return found
+
+    def bridges(self) -> frozenset[int]:
+        """Edge ids whose removal disconnects their component.
+
+        These are the one-edge blocks; loops and parallel edges never are.
+        """
+        return frozenset(b[0] for b in self.blocks() if len(b) == 1)
 
     # -- surgery -------------------------------------------------------------
 

@@ -1,16 +1,18 @@
 """Flow polynomials of outerplanar multigraphs via the dual tree join.
 
-A biconnected outerplanar multigraph is a polygon (its unique
-Hamiltonian cycle) plus non-crossing chords, parallel copies and loops.
-Its weak dual is a tree of bounded faces, and adjacency to the outer
-face turns into apex multiplicities, so the dual is exactly a
-VertexJoinTree and the flow polynomial is its chromatic one over t.
+The flow polynomial multiplies over blocks.  A block with two or more
+edges of an outerplanar multigraph is a polygon (its unique Hamiltonian
+cycle) plus non-crossing chords and parallel copies.  Its weak dual is
+a tree of bounded faces, and adjacency to the outer face turns into
+apex multiplicities, so the dual is exactly a VertexJoinTree and the
+block's flow polynomial is its chromatic one over t.
 
 The outer cycle is recovered by degree-2 elimination: every degree-2
 vertex of a biconnected outerplanar graph sits on the outer cycle
 between its two neighbors, so it can be removed and reinserted later.
 Reinsertion, the cycle certificate and the chord laminarity sweep
-reject non-outerplanar inputs deterministically.
+reject non-outerplanar inputs deterministically.  flow_outerplanar
+accepts cut vertices; only find_outer_cycle raises NotBiconnected.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph
-from .polyring import ONE, T, ZERO, IntPoly
+from .polyring import T, ZERO, IntPoly
 from .vjtree import VertexJoinTree, chromatic_vjtree
 
 _TM1 = IntPoly((-1, 1))
@@ -30,7 +32,7 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class OuterCycle:
-    """Canonical outerplanar certificate of one biconnected component.
+    """Canonical outerplanar certificate of one biconnected multigraph.
 
     order starts at the smallest vertex and runs toward its smaller
     cycle neighbor, so equal graphs yield identical certificates.  A
@@ -44,9 +46,20 @@ class OuterCycle:
 
 
 def find_outer_cycle(g: MultiGraph) -> OuterCycle:
-    """Recover the outer Hamiltonian cycle of a biconnected multigraph."""
-    if len(g.components()) != 1:
-        raise NotBiconnected("input is not connected")
+    """Recover the outer Hamiltonian cycle of a biconnected multigraph.
+
+    Raises NotBiconnected unless g is connected without a cut vertex,
+    and NotOuterplanar unless it has an outerplanar embedding.
+    """
+    blocks = g.blocks()
+    spans = len(blocks) == 1 and len({x for e in blocks[0] for x in g.edges[e]}) == g.n
+    if g.n != 1 and not spans:
+        raise NotBiconnected("input is disconnected or has a cut vertex")
+    return _certify(g)
+
+
+def _certify(g: MultiGraph) -> OuterCycle:
+    # find_outer_cycle on a graph already known to be biconnected.
     loop_count = sum(1 for u, v in g.edges if u == v)
     counts: dict[Edge, int] = {}
     for u, v in g.edges:
@@ -64,7 +77,6 @@ def find_outer_cycle(g: MultiGraph) -> OuterCycle:
     for u, v in counts:
         adj[u].add(v)
         adj[v].add(u)
-    _reject_cut_vertices(g.n, adj)
 
     # Peel degree-2 vertices, lowest id first, remembering where each one
     # must be sewn back into the cycle.
@@ -134,43 +146,6 @@ def find_outer_cycle(g: MultiGraph) -> OuterCycle:
     return OuterCycle(tuple(order), chord_set, counts, loop_count)
 
 
-def _reject_cut_vertices(n: int, adj: dict[int, set[int]]) -> None:
-    # Low-link articulation test on the simple skeleton.
-    disc = {}
-    low = {}
-    timer = 0
-    root = 0
-    disc[root] = low[root] = timer
-    timer += 1
-    root_children = 0
-    stack = [(root, -1, iter(sorted(adj[root])))]
-    while stack:
-        v, parent, it = stack[-1]
-        pushed = False
-        for w in it:
-            if w not in disc:
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == root:
-                    root_children += 1
-                stack.append((w, v, iter(sorted(adj[w]))))
-                pushed = True
-                break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        if pushed:
-            continue
-        stack.pop()
-        if stack:
-            p = stack[-1][0]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if p != root and low[v] >= disc[p]:
-                raise NotBiconnected(f"vertex {p} is a cut vertex")
-    if root_children > 1:
-        raise NotBiconnected(f"vertex {root} is a cut vertex")
-
-
 def _reject_crossing_chords(intervals: list[tuple[int, int]]) -> None:
     # Chords as polygon index intervals must be laminar (nested or
     # disjoint, endpoints may touch).
@@ -185,7 +160,7 @@ def _reject_crossing_chords(intervals: list[tuple[int, int]]) -> None:
 
 
 def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
-    """Weak dual of the certified component, as a tree join.
+    """Weak dual of the certified block, as a tree join.
 
     One tree vertex per bounded face; faces sharing a chord are
     adjacent; a face's multiplicity counts its single outer edges.  A
@@ -208,22 +183,24 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
         ((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in oc.chord_set),
         key=lambda ij: (ij[0], -ij[1]),
     )
-    face_of_interval = {iv: fid for fid, iv in enumerate(intervals, start=1)}
 
-    # Innermost containing interval owns each polygon side; the sweep
-    # overwrites outer assignments with nested ones.
-    owner = [0] * n
+    # Sweep the polygon sides in order.  The stack holds the (end, face)
+    # of the chords enclosing side p, innermost on top: the top owns
+    # side p, and a chord's parent face is the top when it opens.  The
+    # k-th chord in sorted order bounds face k from the outside; face 0
+    # lies outside every chord.
+    owner: list[int] = []
     tree_edges: list[Edge] = []
     stack: list[tuple[int, int]] = []
-    for iv in intervals:
-        i, j = iv
-        while stack and stack[-1][1] <= i:
+    k = 0
+    for p in range(n):
+        while stack and stack[-1][0] <= p:
             stack.pop()
-        parent = face_of_interval[stack[-1]] if stack else 0
-        tree_edges.append((parent, face_of_interval[iv]))
-        stack.append(iv)
-        for p in range(i, j):
-            owner[p] = face_of_interval[iv]
+        while k < len(intervals) and intervals[k][0] == p:
+            k += 1
+            tree_edges.append((stack[-1][1] if stack else 0, k))
+            stack.append((intervals[k - 1][1], k))
+        owner.append(stack[-1][1] if stack else 0)
 
     mult: dict[int, int] = {}
     total = len(intervals) + 1
@@ -266,21 +243,22 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
 def flow_outerplanar(g: MultiGraph) -> IntPoly:
     """Flow polynomial of an outerplanar multigraph, exactly.
 
-    Component by component: a bridge kills the flow outright, isolated
-    vertices are inert, loops factor out (t - 1) each, and everything
-    else goes through the dual: F = P(dual) / t per component.
+    Block by block: a one-edge block (a bridge) kills the flow outright,
+    isolated vertices are inert, loops factor out (t - 1) each, and
+    every other block goes through its dual: F = P(dual) / t per block.
     """
-    result = ONE
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        if sub.bridges():
-            return ZERO
-        if not sub.edges:
-            continue
-        if all(u == v for u, v in sub.edges):
-            result = result * _TM1**sub.m
-            continue
-        dual, loops = build_dual(find_outer_cycle(sub))
-        factor = chromatic_vjtree(dual).exact_div(T)
-        result = result * factor * _TM1**loops
+    blocks = g.blocks()
+    if any(len(block) == 1 for block in blocks):
+        return ZERO
+    result = _TM1 ** sum(1 for u, v in g.edges if u == v)
+    for block in blocks:
+        dual, _ = build_dual(_certify(_block_graph(g, block)))
+        result = result * chromatic_vjtree(dual).exact_div(T)
     return result
+
+
+def _block_graph(g: MultiGraph, block: tuple[int, ...]) -> MultiGraph:
+    # The block's edges on its own vertices, renumbered 0..k-1 in sorted order.
+    edges = [g.edges[e] for e in block]
+    index = {v: i for i, v in enumerate(sorted({x for e in edges for x in e}))}
+    return MultiGraph(len(index), [(index[u], index[v]) for u, v in edges])

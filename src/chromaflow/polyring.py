@@ -351,7 +351,7 @@ def _pack(cs: Sequence[int], w: int) -> Decimal:
 
 
 def _digits(c: int) -> str:
-    # Decimal digits of c >= 0 without str(int) on wide values, which
+    # str(c) without str(int) on wide values, which
     # sys.set_int_max_str_digits may forbid; Decimal(int) has no limit.
     return str(c) if c.bit_length() <= _SAFE_BITS else str(Decimal(c))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +22,22 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@contextmanager
+def int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="interpreter has no int/str digit limit",
+)
 
 
 VJT_SQUARE = """# two joined ends of a path
@@ -104,6 +121,14 @@ def test_flow_outerplanar_and_oracle(tmp_path, capsys):
     assert code == 0 and out == "poly 0 -3 6 -4 1\n"
 
 
+def test_flow_outerplanar_cut_vertex(tmp_path, capsys):
+    bowtie = "p edge 5 6\ne 1 2\ne 2 3\ne 3 1\ne 3 4\ne 4 5\ne 5 3\n"
+    path = write(tmp_path, "bowtie.gr", bowtie)
+    code, out, err = invoke(capsys, "flow", "outerplanar", path)
+    assert code == 0 and err == ""
+    assert out == "poly 1 -2 1\n"  # (t-1)^2, one factor per triangle
+
+
 def test_flow_of_tree_is_zero(tmp_path, capsys):
     path = write(tmp_path, "path.gr", "p edge 3 2\ne 1 2\ne 2 3\n")
     code, out, _ = invoke(capsys, "flow", "outerplanar", path)
@@ -147,6 +172,11 @@ def test_vjt_file_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad3.vjt", "vjt 2\nedge 1 2\nnonsense\n")
     code, _, err = invoke(capsys, "chromatic", "tree", bad)
     assert code == 2 and ":3:" in err  # line-numbered message
+    bad = tmp_path / "latin1.vjt"
+    bad.write_bytes(b"vjt 2\nedge 1 2 # \xff\n")
+    code, out, err = invoke(capsys, "chromatic", "tree", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
 
 def test_gr_file_errors(tmp_path, capsys):
@@ -156,6 +186,11 @@ def test_gr_file_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad2.gr", "e 1 2\n")  # missing header
     code, _, err = invoke(capsys, "flow", "outerplanar", bad)
     assert code == 2 and ":1:" in err
+    bad = tmp_path / "latin1.gr"
+    bad.write_bytes(b"p edge 2 2\ne 1 2\ne 1 2 # \xff\xfe\n")
+    code, out, err = invoke(capsys, "flow", "outerplanar", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
 
 def test_parse_helpers_roundtrip(tmp_path):
@@ -201,3 +236,31 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: NoSpokes: ")
+
+
+@needs_digit_limit
+def test_import_leaves_digit_limit_alone():
+    code = (
+        "import sys; before = sys.get_int_max_str_digits(); "
+        "import chromaflow.cli; print(before, sys.get_int_max_str_digits())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
+
+
+@needs_digit_limit
+def test_eval_past_default_digit_limit(tmp_path, capsys):
+    # A 2000-vertex path joined at one end is a 2001-vertex tree:
+    # t(t-1)^2000, whose value at t = 1000 has about 6000 digits.
+    lines = ["vjt 2000", *(f"edge {i} {i + 1}" for i in range(1, 2000)), "join 1 1"]
+    path = write(tmp_path, "path.vjt", "\n".join(lines) + "\n")
+    with int_digit_limit(sys.int_info.default_max_str_digits):
+        code, out, err = invoke(capsys, "chromatic", "tree", path, "--eval", "1000")
+    assert code == 0 and err == ""
+    with int_digit_limit(0):
+        expect = f"eval 1000 {1000 * 999**2000}"
+    eval_line = out.splitlines()[1]
+    assert len(eval_line) > 4300
+    assert eval_line == expect

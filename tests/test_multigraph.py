@@ -129,6 +129,52 @@ def test_bridge_deletion_splits_component(g):
         assert (after == before + 1) == (eid in bridges)
 
 
+def _cycle_edge_sets(g):
+    # Edge-id sets of every simple cycle (a parallel pair is a 2-cycle),
+    # by walking vertex-simple paths from each start back to it.
+    adj = g.adjacency()
+    cycles = set()
+
+    def walk(start, v, seen, path):
+        for w, eid in adj[v]:
+            if eid in path:
+                continue
+            if w == start:
+                cycles.add(frozenset(path + [eid]))
+            elif w not in seen and w > start:
+                walk(start, w, seen | {w}, path + [eid])
+
+    for s in range(g.n):
+        walk(s, s, {s}, [])
+    return cycles
+
+
+def test_blocks_frozen_cases():
+    bowtie = MultiGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    assert sorted(bowtie.blocks()) == [(0, 1, 2), (3, 4, 5)]
+    # a loop belongs to no block; a bridge is a block of its own
+    g = MultiGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)])
+    assert sorted(g.blocks()) == [(0, 1, 2), (3,)]
+    assert MultiGraph(2, [(0, 1), (0, 1)]).blocks() == [(0, 1)]
+    assert MultiGraph(3, [(1, 1)]).blocks() == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=7, max_m=10))
+def test_blocks_match_cycle_partition(g):
+    # Two distinct non-loop edges share a block iff a simple cycle
+    # contains both; an edge on no cycle is a block of its own.
+    cycles = _cycle_edge_sets(g)
+    expect = set()
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v:
+            expect.add(frozenset({eid}).union(*(c for c in cycles if eid in c)))
+    blocks = g.blocks()
+    assert all(list(b) == sorted(b) for b in blocks)
+    assert len(blocks) == len(expect)
+    assert {frozenset(b) for b in blocks} == expect
+
+
 @SETTINGS
 @given(multigraphs())
 def test_cycle_edges_are_never_bridges(g):

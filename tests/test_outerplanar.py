@@ -87,6 +87,12 @@ def test_flow_frozen_values():
     c3_c4 = MultiGraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
     assert flow_outerplanar(c3_c4) == TM1**2
     assert flow_outerplanar(MultiGraph(3, [])) == IntPoly((1,))
+    # blocks sharing a cut vertex multiply
+    bowtie = MultiGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    assert flow_outerplanar(bowtie) == TM1**2
+    chain = MultiGraph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2),
+                           (4, 5), (5, 6), (6, 4)])
+    assert flow_outerplanar(chain) == TM1**3
 
 
 def test_wheel_is_not_outerplanar():
@@ -105,7 +111,7 @@ def test_bridge_makes_flow_zero():
 @given(st.integers(0, 10**9))
 def test_oracle_equivalence_random(seed):
     rng = random.Random(seed)
-    g = random_outerplanar(rng, n_max=9, mult_max=3, max_loops=2)
+    g = random_outerplanar(rng, n_max=9, mult_max=3, max_loops=2, p_glued=0.5)
     assert flow_outerplanar(g) == oracle_flow(g, memoize=True)
 
 
@@ -122,7 +128,7 @@ def test_oracle_equivalence_with_bridges(seed):
 @given(st.integers(0, 10**9))
 def test_parity_law(seed):
     rng = random.Random(seed)
-    g = random_outerplanar(rng, n_max=8, mult_max=3, max_loops=2)
+    g = random_outerplanar(rng, n_max=8, mult_max=3, max_loops=2, p_glued=0.5)
     even = all(d % 2 == 0 for d in g.degrees())
     expect = 1 if even and not g.bridges() else 0
     assert flow_outerplanar(g).evaluate(2) == expect

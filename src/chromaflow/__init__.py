@@ -3,9 +3,10 @@
 Core objects: IntPoly (exact integer polynomials), MultiGraph,
 VertexJoinTree (a tree whose vertices join an extra apex with
 multiplicities).  Fast paths: a heavy-path sweep for join-tree chromatic
-polynomials, outerplanar flow polynomials through the dual tree, and
-closed formulas for joined cliques and generalized wheels.  Slow
-deletion-contraction oracles back everything for validation.
+polynomials, outerplanar flow polynomials through the dual tree, a
+closed formula for joined cliques and a transfer recurrence for
+generalized wheels.  Slow deletion-contraction oracles back everything
+for validation.
 """
 
 from .errors import (
@@ -36,6 +37,7 @@ from .vjtree import VertexJoinTree, chromatic_vjtree
 from .wheels import (
     PhiString,
     chromatic_clique_join,
+    chromatic_wheel,
     chromatic_wheel_stepwise,
     chromatic_wheel_telescoped,
     flow_wheel,
@@ -75,6 +77,7 @@ __all__ = [
     "chromatic_vjtree",
     "PhiString",
     "chromatic_clique_join",
+    "chromatic_wheel",
     "chromatic_wheel_stepwise",
     "chromatic_wheel_telescoped",
     "flow_wheel",

@@ -1,4 +1,4 @@
-"""Closed formulas for cycles and cliques joined to an apex vertex.
+"""Generalized wheels and joined cliques.
 
 A PhiString a_1..a_n encodes a cycle on n vertices plus an apex carrying
 a_i parallel spokes to the i-th cycle vertex (a generalized wheel).  The
@@ -8,12 +8,26 @@ vertex bounds a two-sided face (a zero in the dual), and the last spoke
 at a vertex bounds, together with the first spoke at the next joined
 vertex, a face with one dual spoke per outer edge between them.
 
-The chromatic polynomial comes from deleting the spokes one at a time;
-each deletion step contracts to a chain of cycle faces glued along
-single edges, so every term is a product of cycle polynomials divided
-by t(t-1) per gluing.  Two independent routes are provided: the closed
-per-term formula driven by the face-size bookkeeping (telescoped), and
-a literal spoke-by-spoke recursion (stepwise); they must agree exactly.
+The chromatic polynomial is a transfer recurrence around the cycle
+(Biggs-Damerell-Sands, "Recursive families of graphs", 1972).  Fix the
+apex colour A and the colour c0 of v0.  If c0 != A, each later cycle
+vertex is in one of three states, X (colour A), Y (colour c0) or
+Z (any other colour, summed over them), and one step along the cycle
+maps the counts (x, y, z) by
+
+  X -> (0, 1, t-2),   Y -> (1, 0, t-2),   Z -> (1, 1, t-3),
+
+except that a joined vertex cannot be X.  The cycle closes when the
+last vertex is not Y, and c0 has t - 1 choices.  If v0 is unjoined it
+may also take colour A; then two states remain, A or not.  The sum is
+W = P / t, and the flow polynomial is W of the dual wheel.  Every step
+multiplies by a linear factor, so there is no division anywhere.
+
+The paper's closed formulas (spoke-by-spoke deletion-contraction, each
+term a chain of cycle polynomials over t(t-1) per gluing) stay at the
+end of the module as references the tests compare against: the
+telescoped per-term formula driven by face sizes, and the literal
+stepwise recursion.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from typing import Iterable, Mapping
 from .errors import InvalidSize, InvalidVertex, NoSpokes
 from .multigraph import MultiGraph
 from .polyring import (
+    ONE,
     T,
     ZERO,
     IntPoly,
@@ -33,6 +48,8 @@ from .polyring import (
 )
 
 _TM1 = IntPoly((-1, 1))
+_TM2 = IntPoly((-2, 1))
+_TM3 = IntPoly((-3, 1))
 _TTM1 = IntPoly((0, -1, 1))
 
 
@@ -75,6 +92,80 @@ class PhiString:
         return MultiGraph(n + 1, cycle + spokes)
 
 
+def phi_dual(phi: PhiString) -> PhiString:
+    """String of the dual wheel; needs at least one spoke.
+
+    Swaps length and total: the dual has one cycle vertex per bounded
+    face (s of them) and one spoke per outer edge (n of them).
+    """
+    values = phi.values
+    n = phi.n
+    if phi.s == 0:
+        raise NoSpokes("dual string undefined without spokes")
+    joined = [i for i, a in enumerate(values) if a]
+    out: list[int] = []
+    for idx, i in enumerate(joined):
+        nxt = joined[(idx + 1) % len(joined)]
+        gap = (nxt - i - 1) % n
+        out.extend([0] * (values[i] - 1))
+        out.append(gap + 1)
+    return PhiString(tuple(out))
+
+
+def chromatic_clique_join(n: int, mult: Mapping[int, int]) -> IntPoly:
+    """Chromatic polynomial of a complete graph joined to an apex.
+
+    Joined vertices force distinct colors on the apex's neighborhood,
+    so the apex sees s forbidden colors: (t - s) * P(K_n).
+    """
+    if n < 1:
+        raise InvalidSize(f"clique needs n >= 1, got {n}")
+    s = 0
+    for v, m in mult.items():
+        if not (0 <= v < n):
+            raise InvalidVertex(f"joined vertex {v} outside 0..{n - 1}")
+        if m < 0:
+            raise InvalidSize(f"multiplicity of vertex {v} is negative")
+        if m:
+            s += 1
+    return IntPoly((-s, 1)) * chromatic_complete(n)
+
+
+def chromatic_wheel(phi: PhiString) -> IntPoly:
+    """Chromatic polynomial of the wheel, by the transfer recurrence."""
+    return T * _transfer(phi.values)
+
+
+def flow_wheel(phi: PhiString) -> IntPoly:
+    """Flow polynomial of the wheel: P(dual wheel) / t.
+
+    With one spoke the dual is a loop, whose W is zero.
+    """
+    if phi.s == 0:
+        # Bare cycle plus isolated apex: (t - 1) times 1.
+        return _TM1
+    return _transfer(phi_dual(phi).values)
+
+
+def _transfer(values: tuple[int, ...]) -> IntPoly:
+    # W = P / t of the wheel with these spoke counts (module docstring).
+    x, y, z = ZERO, ONE, ZERO
+    for a in values[1:]:
+        x, y, z = ZERO if a else y + z, x + z, _TM2 * (x + y) + _TM3 * z
+    total = _TM1 * (x + z)
+    if not values[0]:
+        on_apex, off_apex = ONE, ZERO
+        for a in values[1:]:
+            on_apex, off_apex = ZERO if a else off_apex, _TM1 * on_apex + _TM2 * off_apex
+        total = total + off_apex
+    return total
+
+
+# -- reference formulas ------------------------------------------------------
+# The paper's deletion-contraction formulas, kept as the cross-checks that
+# the tests compare chromatic_wheel and flow_wheel against.
+
+
 @dataclass(frozen=True)
 class FaceDecomposition:
     """Bounded face sizes of a wheel, clockwise from the first spoke."""
@@ -110,49 +201,10 @@ class FaceDecomposition:
         return f[: i - 2] + (f[i - 2] - 1, self.merged_size(i + 1) - 1)
 
 
-def phi_dual(phi: PhiString) -> PhiString:
-    """String of the dual wheel; needs at least one spoke.
-
-    Swaps length and total: the dual has one cycle vertex per bounded
-    face (s of them) and one spoke per outer edge (n of them).
-    """
-    values = phi.values
-    n = phi.n
-    if phi.s == 0:
-        raise NoSpokes("dual string undefined without spokes")
-    joined = [i for i, a in enumerate(values) if a]
-    out: list[int] = []
-    for idx, i in enumerate(joined):
-        nxt = joined[(idx + 1) % len(joined)]
-        gap = (nxt - i - 1) % n
-        out.extend([0] * (values[i] - 1))
-        out.append(gap + 1)
-    return PhiString(tuple(out))
-
-
 def face_sizes(phi: PhiString) -> FaceDecomposition:
     """Bounded face sizes: each face has two spoke sides plus its outer edges."""
     dual = phi_dual(phi)
     return FaceDecomposition(phi.n, tuple(a + 2 for a in dual.values))
-
-
-def chromatic_clique_join(n: int, mult: Mapping[int, int]) -> IntPoly:
-    """Chromatic polynomial of a complete graph joined to an apex.
-
-    Joined vertices force distinct colors on the apex's neighborhood,
-    so the apex sees s forbidden colors: (t - s) * P(K_n).
-    """
-    if n < 1:
-        raise InvalidSize(f"clique needs n >= 1, got {n}")
-    s = 0
-    for v, m in mult.items():
-        if not (0 <= v < n):
-            raise InvalidVertex(f"joined vertex {v} outside 0..{n - 1}")
-        if m < 0:
-            raise InvalidSize(f"multiplicity of vertex {v} is negative")
-        if m:
-            s += 1
-    return IntPoly((-s, 1)) * chromatic_complete(n)
 
 
 def _chain_value(sizes: Iterable[int], glue_count: int) -> IntPoly:
@@ -209,14 +261,3 @@ def _contracted_spoke(n: int, positions: list[int]) -> IntPoly:
     sizes[m - 2] -= 1
     sizes[m - 1] -= 1
     return _chain_value(sizes, m - 1)
-
-
-def flow_wheel(phi: PhiString) -> IntPoly:
-    """Flow polynomial of the wheel, via the dual wheel's chromatic one."""
-    if phi.s == 0:
-        # Bare cycle plus isolated apex: (t - 1) times 1.
-        return _TM1
-    if phi.s == 1:
-        return ZERO
-    dual = phi_dual(phi)
-    return chromatic_wheel_telescoped(dual).exact_div(T)

@@ -31,6 +31,7 @@ from chromaflow.vjtree import chromatic_vjtree
 from chromaflow.wheels import (
     PhiString,
     chromatic_clique_join,
+    chromatic_wheel,
     chromatic_wheel_stepwise,
     chromatic_wheel_telescoped,
     flow_wheel,
@@ -104,9 +105,11 @@ def wheel_corpus():
         g = phi.realize()
         closed = chromatic_wheel_telescoped(phi)
         literal = chromatic_wheel_stepwise(phi)
+        transfer = chromatic_wheel(phi)
         fgot = flow_wheel(phi)
         ok = (
             closed == literal
+            and closed == transfer
             and closed == oracle_chromatic(g, memoize=True)
             and fgot == oracle_flow(g, memoize=True, force=True)
         )
@@ -166,7 +169,7 @@ def test_criterion_4_wheels(wheel_corpus):
     total, matches, _, _ = wheel_corpus
     ok = matches == total
     verdict(4, ok, f"{matches}/{total} strings: closed form == stepwise == "
-                   f"chromatic oracle, flow == flow oracle")
+                   f"transfer == chromatic oracle, flow == flow oracle")
 
 
 def test_criterion_5_cliques(clique_corpus):

@@ -8,7 +8,9 @@ from contextlib import contextmanager
 
 import pytest
 
+import chromaflow.cli as cli
 from chromaflow.cli import format_poly, parse_gr_file, parse_vjt_file, run
+from chromaflow.errors import ParseError
 from chromaflow.polyring import IntPoly, ZERO
 
 
@@ -264,3 +266,79 @@ def test_eval_past_default_digit_limit(tmp_path, capsys):
     eval_line = out.splitlines()[1]
     assert len(eval_line) > 4300
     assert eval_line == expect
+
+
+@needs_digit_limit
+def test_eval_token_past_default_digit_limit(capsys):
+    # K4: t(t-1)(t-2)(t-3), evaluated at tokens of 5000 digits.
+    sevens = "7" * 5000
+    with int_digit_limit(sys.int_info.default_max_str_digits):
+        code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", "1,1,1",
+                                f"--eval={sevens},-{sevens[:2500]}_{sevens[2500:]},3")
+    assert code == 0 and err == ""
+    with int_digit_limit(0):
+        t = int(sevens)
+        expect = [
+            "poly 0 -6 11 -6 1",
+            f"eval {t} {t * (t - 1) * (t - 2) * (t - 3)}",
+            f"eval {-t} {t * (t + 1) * (t + 2) * (t + 3)}",
+            "eval 3 0",
+        ]
+    assert out.splitlines() == expect
+
+
+@needs_digit_limit
+def test_join_multiplicity_past_default_digit_limit(tmp_path, capsys):
+    path = write(tmp_path, "wide.vjt", VJT_SQUARE + f"join 1 {'9' * 5000}\n")
+    with int_digit_limit(sys.int_info.default_max_str_digits):
+        code, out, err = invoke(capsys, "chromatic", "tree", path)
+    assert code == 0 and err == ""
+    assert out == "poly 0 3 -9 10 -5 1\n"
+
+
+def test_int_tokens_follow_int_syntax(tmp_path, capsys):
+    code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", "1,1,1",
+                            "--eval", " +1_0 ,-0_3,\u0663")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["eval 10 5040", "eval -3 360", "eval 3 0"]
+    for bad in ("1__0", "_1", "1_", "--3", "1.0", "0x10"):
+        code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", "1,1,1", f"--eval={bad}")
+        assert code == 2 and out == "" and err.startswith("error: ParseError: ")
+    path = write(tmp_path, "bad.vjt", VJT_SQUARE + "join 1 1__0\n")
+    code, _, err = invoke(capsys, "chromatic", "tree", path)
+    assert code == 2 and "bad integer" in err
+
+
+def test_clique_size_guard(monkeypatch, capsys):
+    calls = []
+
+    def fake_clique(n, mult):
+        calls.append(n)
+        return IntPoly((1,))
+
+    monkeypatch.setattr(cli, "chromatic_clique_join", fake_clique)
+    code, out, err = invoke(capsys, "chromatic", "clique", "--n", str(cli.MAX_CLIQUE_N + 1))
+    assert code == 1 and out == "" and calls == []
+    assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1
+    code, out, err = invoke(capsys, "chromatic", "clique", "--n", str(cli.MAX_CLIQUE_N))
+    assert code == 0 and calls == [cli.MAX_CLIQUE_N]
+
+
+def test_gr_header_size_guard(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_graph(n, edges):
+        calls.append(n)
+        return ZERO
+
+    monkeypatch.setattr(cli, "MultiGraph", fake_graph)
+    path = write(tmp_path, "huge.gr", f"p edge {cli.MAX_GR_VERTICES + 1} 0\n")
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_gr_file(path)
+    for command in (("flow", "outerplanar"), ("oracle", "chromatic"), ("oracle", "flow")):
+        code, out, err = invoke(capsys, *command, path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert calls == []
+    parse_gr_file(write(tmp_path, "edge.gr", f"p edge {cli.MAX_GR_VERTICES} 0\n"))
+    assert calls == [cli.MAX_GR_VERTICES]

@@ -17,6 +17,7 @@ from chromaflow.polyring import IntPoly, T, ZERO, chromatic_complete, chromatic_
 from chromaflow.wheels import (
     PhiString,
     chromatic_clique_join,
+    chromatic_wheel,
     chromatic_wheel_stepwise,
     chromatic_wheel_telescoped,
     face_sizes,
@@ -120,11 +121,15 @@ def test_wheel_frozen_values():
     expect = T * (TM2**4 + TM2)
     assert chromatic_wheel_telescoped(w4) == expect
     assert chromatic_wheel_stepwise(w4) == expect
+    assert chromatic_wheel(w4) == expect
     fan = PhiString((1, 0, 1))
     assert chromatic_wheel_telescoped(fan) == oracle_chromatic(fan.realize())
+    assert chromatic_wheel(fan) == oracle_chromatic(fan.realize())
     # degenerate spoke counts
-    assert chromatic_wheel_telescoped(PhiString((0, 0, 0))) == T * chromatic_cycle(3)
-    assert chromatic_wheel_telescoped(PhiString((1, 0, 0))) == TM1 * chromatic_cycle(3)
+    for route in (chromatic_wheel_telescoped, chromatic_wheel):
+        assert route(PhiString((0, 0, 0))) == T * chromatic_cycle(3)
+        assert route(PhiString((1, 0, 0))) == TM1 * chromatic_cycle(3)
+        assert route(PhiString((2,))) == ZERO  # a loop at v0
 
 
 def test_wheel_doubled_multiplicities():
@@ -132,6 +137,7 @@ def test_wheel_doubled_multiplicities():
     reduced = PhiString((1, 0, 1, 1))
     assert chromatic_wheel_telescoped(phi) == chromatic_wheel_telescoped(reduced)
     assert chromatic_wheel_stepwise(phi) == chromatic_wheel_stepwise(reduced)
+    assert chromatic_wheel(phi) == chromatic_wheel(reduced)
 
 
 def test_wheel_oracle_exhaustive_small():
@@ -141,6 +147,7 @@ def test_wheel_oracle_exhaustive_small():
             expect = oracle_chromatic(phi.realize(), memoize=True)
             assert chromatic_wheel_telescoped(phi) == expect
             assert chromatic_wheel_stepwise(phi) == expect
+            assert chromatic_wheel(phi) == expect
 
 
 def test_flow_wheel_frozen():
@@ -165,6 +172,7 @@ def test_wheel_oracle_random(seed):
     expect = oracle_chromatic(phi.realize(), memoize=True)
     assert chromatic_wheel_telescoped(phi) == expect
     assert chromatic_wheel_stepwise(phi) == expect
+    assert chromatic_wheel(phi) == expect
 
 
 @SETTINGS
@@ -173,3 +181,23 @@ def test_flow_wheel_oracle_random(seed):
     rng = random.Random(seed)
     phi = random_phi(rng, n_max=5, a_max=2, require_spokes=True)
     assert flow_wheel(phi) == oracle_flow(phi.realize(), memoize=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9))
+def test_wheel_long_random_matches_telescoped(seed):
+    rng = random.Random(seed)
+    phi = PhiString(tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(rng.randint(50, 70))))
+    assert chromatic_wheel(phi) == chromatic_wheel_telescoped(phi)
+    if phi.s > 1:
+        assert flow_wheel(phi) * T == chromatic_wheel_telescoped(phi_dual(phi))
+
+
+def test_plain_wheel_512():
+    # The telescoped route takes minutes here; the transfer recurrence
+    # takes a fraction of a second.
+    n = 512
+    flow = TM2**n + TM2 * (-1) ** n
+    phi = PhiString((1,) * n)
+    assert chromatic_wheel(phi) == T * flow
+    assert flow_wheel(phi) == flow

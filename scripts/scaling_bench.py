@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""Wall-time scaling of the tree sweep on random caterpillar inputs.
+"""Wall-time scaling of the tree sweep or of outerplanar flows.
 
-Prints one row per size: n, seconds, ratio to the previous row, and the
-bit length of the largest output coefficient (the arithmetic payload
-that dominates past a few hundred vertices).
+--family tree (the default) times chromatic_vjtree on random
+caterpillars and prints one row per size: n, seconds, ratio to the
+previous row, and the bit length of the largest output coefficient
+(the arithmetic payload that dominates past a few hundred vertices).
+
+--family outerplanar times flow_outerplanar on one polygon per size
+with n/200 non-crossing chords and shuffled vertex labels, where the
+graph work (blocks, outer-cycle certificate, dual) carries the load;
+its rows give n, seconds and the ratio.
 """
 
 from __future__ import annotations
@@ -13,33 +19,64 @@ import random
 import time
 
 from chromaflow.generators import random_caterpillar
+from chromaflow.multigraph import MultiGraph
+from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.vjtree import chromatic_vjtree
+
+DEFAULT_SIZES = {"tree": "512,1024,2048,4096", "outerplanar": "6000,12000,24000,48000"}
+
+
+def chorded_polygon(rng: random.Random, n: int) -> MultiGraph:
+    """Polygon on n vertices with about n/200 laminar chords, labels shuffled."""
+    # Match 2k random polygon positions like balanced brackets, so the
+    # chords nest or stay apart; chords between neighbors are sides.
+    k = n // 200
+    points = sorted(rng.sample(range(n), 2 * k))
+    opened: list[int] = []
+    chords = []
+    for i, p in enumerate(points):
+        if opened and (len(opened) == len(points) - i or rng.random() < 0.5):
+            chords.append((opened.pop(), p))
+        else:
+            opened.append(p)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(a, b) for a, b in chords if b - a >= 2 and (a, b) != (0, n - 1)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="512,1024,2048,4096",
-                    help="comma-separated vertex counts")
+    ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
+    ap.add_argument("--sizes", help="comma-separated vertex counts "
+                    "(default: 512..4096 for tree, 6000..48000 for outerplanar)")
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
                     help="runs per size; fastest is reported")
     args = ap.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
+    tree = args.family == "tree"
 
     rng = random.Random(args.seed)
-    print(f"{'n':>8} {'seconds':>10} {'ratio':>7} {'max coeff bits':>15}")
+    print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if tree else ""))
     prev = None
     for n in sizes:
-        tree = random_caterpillar(rng, n)
+        if tree:
+            instance, compute = random_caterpillar(rng, n), chromatic_vjtree
+        else:
+            instance, compute = chorded_polygon(rng, n), flow_outerplanar
         best = float("inf")
         poly = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            poly = chromatic_vjtree(tree)
+            poly = compute(instance)
             best = min(best, time.perf_counter() - t0)
-        bits = max(abs(c).bit_length() for c in poly.coeffs)
         ratio = f"{best / prev:7.2f}" if prev else f"{'-':>7}"
-        print(f"{n:>8} {best:>10.3f} {ratio} {bits:>15}")
+        bits = f" {max(abs(c).bit_length() for c in poly.coeffs):>15}" if tree else ""
+        print(f"{n:>8} {best:>10.3f} {ratio}{bits}")
         prev = best
 
 

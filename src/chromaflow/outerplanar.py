@@ -7,9 +7,16 @@ a tree of bounded faces, and adjacency to the outer face turns into
 apex multiplicities, so the dual is exactly a VertexJoinTree and the
 block's flow polynomial is its chromatic one over t.
 
-The outer cycle is recovered by degree-2 elimination: every degree-2
-vertex of a biconnected outerplanar graph sits on the outer cycle
-between its two neighbors, so it can be removed and reinserted later.
+The outer cycle is recovered by degree-2 elimination (Mitchell 1979,
+"Linear algorithms to recognize outerplanar and maximal outerplanar
+graphs"): every degree-2 vertex of a biconnected outerplanar graph sits
+on the outer cycle between its two neighbors, so it can be removed and
+reinserted later.  The elimination runs in linear time on flat lists: a
+set of neighbors per vertex, a plain stack of degree-2 candidates and
+next/previous arrays for the rebuilt cycle.  Any elimination order
+gives the same certificate, because the cycle is the block's only
+Hamiltonian cycle and its listing is canonicalized; a distinct edge is a
+side iff its ends are adjacent on the cycle, and a chord otherwise.
 Reinsertion, the cycle certificate and the chord laminarity sweep
 reject non-outerplanar inputs deterministically.  flow_outerplanar
 accepts cut vertices; only find_outer_cycle raises NotBiconnected.
@@ -17,8 +24,10 @@ accepts cut vertices; only find_outer_cycle raises NotBiconnected.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from itertools import chain
+from typing import Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph
@@ -55,63 +64,63 @@ def find_outer_cycle(g: MultiGraph) -> OuterCycle:
     spans = len(blocks) == 1 and len({x for e in blocks[0] for x in g.edges[e]}) == g.n
     if g.n != 1 and not spans:
         raise NotBiconnected("input is disconnected or has a cut vertex")
-    return _certify(g)
+    return _certify(g.n, g.edges)
 
 
-def _certify(g: MultiGraph) -> OuterCycle:
-    # find_outer_cycle on a graph already known to be biconnected.
-    loop_count = sum(1 for u, v in g.edges if u == v)
-    counts: dict[Edge, int] = {}
-    for u, v in g.edges:
-        if u != v:
-            counts[(u, v)] = counts.get((u, v), 0) + 1
+def _certify(n: int, edges: Sequence[Edge]) -> OuterCycle:
+    # find_outer_cycle on the normalized edges of a graph on 0..n-1 that
+    # is already known to be biconnected.
+    counts = Counter(edges)
+    loops = [e for e in counts if e[0] == e[1]]
+    loop_count = sum(counts.pop(e) for e in loops)
 
-    if g.n == 1:
+    if n == 1:
         raise NotOuterplanar("single vertex has no outer cycle")
-    if g.n == 2:
+    if n == 2:
         if not counts or next(iter(counts.values())) < 2:
             raise NotOuterplanar("two vertices need a parallel bundle to close a cycle")
         return OuterCycle((0, 1), (), counts, loop_count)
 
-    adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
+    adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in counts:
         adj[u].add(v)
         adj[v].add(u)
 
-    # Peel degree-2 vertices, lowest id first, remembering where each one
-    # must be sewn back into the cycle.
+    # Peel degree-2 vertices, remembering where each one must be sewn
+    # back into the cycle.  Degrees never grow, so a stacked vertex is
+    # stale only once peeled (its set is emptied) or left with fewer
+    # neighbors.  The order of peeling does not matter: the outer cycle
+    # is the graph's only Hamiltonian cycle.
     steps: list[tuple[int, int, int]] = []
-    worklist = [v for v in range(g.n) if len(adj[v]) == 2]
-    heapify(worklist)
-    alive = g.n
-    while alive > 3:
-        x = None
-        while worklist:
-            cand = heappop(worklist)
-            if cand in adj and len(adj[cand]) == 2:
-                x = cand
+    stack = [v for v in range(n) if len(adj[v]) == 2]
+    for _ in range(n - 3):
+        while stack:
+            x = stack.pop()
+            if len(adj[x]) == 2:
                 break
-        if x is None:
+        else:
             raise NotOuterplanar("degree-2 elimination stalled")
-        a, b = sorted(adj[x])
-        adj[a].discard(x)
-        adj[b].discard(x)
-        del adj[x]
+        a, b = adj[x]
+        adj[x] = set()
+        near_a, near_b = adj[a], adj[b]
+        near_a.remove(x)
+        near_b.remove(x)
         steps.append((x, a, b))
-        if b not in adj[a]:
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in (a, b):
-            if len(adj[w]) == 2:
-                heappush(worklist, w)
-        alive -= 1
+        if b not in near_a:
+            near_a.add(b)
+            near_b.add(a)
+        if len(near_a) == 2:
+            stack.append(a)
+        if len(near_b) == 2:
+            stack.append(b)
 
-    base = sorted(adj)
-    for i in range(3):
-        if base[(i + 1) % 3] not in adj[base[i]]:
-            raise NotOuterplanar("reduction did not end in a triangle")
-    nxt = {base[0]: base[1], base[1]: base[2], base[2]: base[0]}
-    prv = {w: v for v, w in nxt.items()}
+    p, q, r = [v for v in range(n) if adj[v]]
+    if q not in adj[p] or r not in adj[q] or p not in adj[r]:
+        raise NotOuterplanar("reduction did not end in a triangle")
+    nxt = [0] * n
+    prv = [0] * n
+    nxt[p], nxt[q], nxt[r] = q, r, p
+    prv[q], prv[r], prv[p] = p, q, r
     for x, a, b in reversed(steps):
         if nxt[a] == b:
             lo, hi = a, b
@@ -121,27 +130,29 @@ def _certify(g: MultiGraph) -> OuterCycle:
             raise NotOuterplanar(f"vertex {x} cannot rejoin the cycle between {a} and {b}")
         nxt[lo], nxt[x], prv[x], prv[hi] = x, hi, lo, x
 
-    start = min(nxt)
-    step = nxt if nxt[start] <= prv[start] else prv
-    order = [start]
-    cur = step[start]
-    while cur != start:
+    step = nxt if nxt[0] <= prv[0] else prv
+    order = [0]
+    cur = step[0]
+    while cur != 0:
         order.append(cur)
         cur = step[cur]
-    if len(order) != g.n:
+    if len(order) != n:
         raise NotOuterplanar("reconstructed cycle misses vertices")
-    cycle_edges = set()
-    for i, u in enumerate(order):
-        v = order[(i + 1) % g.n]
-        e = (u, v) if u <= v else (v, u)
-        if e not in counts:
-            raise NotOuterplanar(f"cycle side ({u}, {v}) is not an edge")
-        cycle_edges.add(e)
 
-    chord_set = tuple(sorted(e for e in counts if e not in cycle_edges))
-    pos = {v: i for i, v in enumerate(order)}
+    # A distinct edge is a side iff its ends sit next to each other on
+    # the cycle; all n sides must be edges.
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    chords = [(u, v) for u, v in counts if (pos[u] - pos[v]) % n not in (1, n - 1)]
+    if len(counts) - len(chords) != n:
+        u, v = next((u, v) for u, v in zip(order, order[1:] + order[:1])
+                    if (min(u, v), max(u, v)) not in counts)
+        raise NotOuterplanar(f"cycle side ({u}, {v}) is not an edge")
+
+    chord_set = tuple(sorted(chords))
     _reject_crossing_chords(
-        sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in chord_set)
+        [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chord_set]
     )
     return OuterCycle(tuple(order), chord_set, counts, loop_count)
 
@@ -252,13 +263,17 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
         return ZERO
     result = _TM1 ** sum(1 for u, v in g.edges if u == v)
     for block in blocks:
-        dual, _ = build_dual(_certify(_block_graph(g, block)))
+        dual, _ = build_dual(_certify(*_block_graph(g, block)))
         result = result * chromatic_vjtree(dual).exact_div(T)
     return result
 
 
-def _block_graph(g: MultiGraph, block: tuple[int, ...]) -> MultiGraph:
-    # The block's edges on its own vertices, renumbered 0..k-1 in sorted order.
+def _block_graph(g: MultiGraph, block: tuple[int, ...]) -> tuple[int, list[Edge]]:
+    # The block's vertex count and edges, renumbered 0..k-1 in sorted
+    # order.  Renumbering keeps u <= v, so the edges stay normalized.
     edges = [g.edges[e] for e in block]
-    index = {v: i for i, v in enumerate(sorted({x for e in edges for x in e}))}
-    return MultiGraph(len(index), [(index[u], index[v]) for u, v in edges])
+    vertices = set(chain.from_iterable(edges))
+    if len(vertices) == g.n:
+        return g.n, edges
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return len(index), [(index[u], index[v]) for u, v in edges]

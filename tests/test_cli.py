@@ -9,9 +9,11 @@ from contextlib import contextmanager
 import pytest
 
 import chromaflow.cli as cli
+import chromaflow.wheels as wheels
 from chromaflow.cli import format_poly, parse_gr_file, parse_vjt_file, run
 from chromaflow.errors import ParseError
 from chromaflow.polyring import IntPoly, ZERO
+from chromaflow.wheels import PhiString
 
 
 def invoke(capsys, *argv):
@@ -342,3 +344,34 @@ def test_gr_header_size_guard(tmp_path, monkeypatch, capsys):
     assert calls == []
     parse_gr_file(write(tmp_path, "edge.gr", f"p edge {cli.MAX_GR_VERTICES} 0\n"))
     assert calls == [cli.MAX_GR_VERTICES]
+
+
+def test_phi_total_guard(monkeypatch, capsys):
+    huge = "1,10000000000000000000000"
+    for command in (("dual", "phi"), ("flow", "wheel")):
+        code, out, err = invoke(capsys, *command, "--phi", huge)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1
+    # Parallel spokes are chromatically inert, so chromatic wheel takes it.
+    assert invoke(capsys, "chromatic", "wheel", "--phi", huge) == (0, "poly 0 2 -3 1\n", "")
+
+    calls = []
+
+    def fake_dual(phi):
+        calls.append(phi.s)
+        return PhiString((1, 1, 1))
+
+    monkeypatch.setattr(cli, "phi_dual", fake_dual)
+    monkeypatch.setattr(wheels, "phi_dual", fake_dual)
+    for command in (("dual", "phi"), ("flow", "wheel")):
+        code, out, err = invoke(capsys, *command, "--phi", f"1,{cli.MAX_PHI_TOTAL}")
+        assert code == 1 and out == "" and err.startswith("error: InvalidSize: ")
+        code, _, _ = invoke(capsys, *command, "--phi", f"1,{cli.MAX_PHI_TOTAL - 1}")
+        assert code == 0
+    assert calls == [cli.MAX_PHI_TOTAL] * 2
+
+
+def test_help_returns_exit_code(capsys):
+    code, out, err = invoke(capsys, "chromatic", "wheel", "-h")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: chromaflow chromatic wheel")

@@ -1,9 +1,9 @@
 """Property test of the CLI error contract on random argv and input files.
 
 Whatever the arguments and file bytes, `run` returns 0, 1 or 2, prints
-nothing on stdout unless it succeeds, and prints at most one stderr
-line, never a traceback.  Sizes stay tiny and `--force` is never
-passed, so every call is fast.
+nothing on stdout unless it succeeds (a result, or the help for -h),
+and prints at most one stderr line, never a traceback.  Sizes stay tiny
+and `--force` is never passed, so every call is fast.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from chromaflow.cli import run
 # Small integers, plus tokens that int() refuses or reads unusually.
 NUMBER = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "+2", "1_0", "٣", " 2 ", "x", ""])
 NUMBER_LIST = st.lists(NUMBER, max_size=6).map(",".join)
-JUNK = st.sampled_from(["--n", "--phi", "--join", "--eval", "tree", "wheel", "phi", "-x", "--", "1,2"])
+JUNK = st.sampled_from(["--n", "--phi", "--join", "--eval", "tree", "wheel", "phi", "-x", "--", "1,2", "-h"])
 
 FILE_TOKENS = ["p", "edge", "e", "vjt", "join", "#", "0", "1", "2", "3", "4", "5", "-1", "x", "\t"]
 FILE_LINE = st.lists(st.sampled_from(FILE_TOKENS), max_size=5).map(" ".join)
@@ -111,7 +111,8 @@ def test_cli_contract_on_random_input(input_path, data):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 0:
-        assert err == "" and out.startswith(("poly ", "phi "))
+        assert err == ""
+        assert out.startswith(("poly ", "phi ")) or ("-h" in args and out.startswith("usage: "))
     else:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,49 @@ def test_find_outer_cycle_rejections():
     two_parts = MultiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(NotBiconnected):
         find_outer_cycle(two_parts)
+
+
+def norm(u, v):
+    return (u, v) if u <= v else (v, u)
+
+
+def test_certificate_follows_the_graph_not_the_labels():
+    # The certificate depends on the graph alone, whatever the vertex
+    # labels and hence the order in which degree-2 vertices are peeled;
+    # two crossing chords always make it fail.
+    rng = random.Random(20141)
+    for _ in range(300):
+        edges = random_outerplanar_block(rng, n_max=rng.choice([8, 30, 120]), mult_max=3)
+        n = max(max(e) for e in edges) + 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = [norm(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(relabelled)
+        oc = find_outer_cycle(MultiGraph(n, relabelled))
+        assert oc.parallel_count == Counter(relabelled)
+        if n == 2:
+            assert oc.order == (0, 1) and oc.chord_set == ()
+            continue
+        sides = {norm(perm[i], perm[(i + 1) % n]) for i in range(n)}
+        assert {norm(u, oc.order[i - 1]) for i, u in enumerate(oc.order)} == sides
+        assert oc.chord_set == tuple(sorted(set(relabelled) - sides))
+        if n >= 4:
+            i, k, j, l = sorted(rng.sample(range(n), 4))
+            order = oc.order
+            crossed = relabelled + [norm(order[i], order[j]), norm(order[k], order[l])]
+            with pytest.raises(NotOuterplanar):
+                find_outer_cycle(MultiGraph(n, crossed))
+
+
+def test_long_shuffled_polygon():
+    # Every vertex has degree 2, so the peeling stack holds the whole cycle.
+    rng = random.Random(3000)
+    n = 3000
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    rng.shuffle(edges)
+    assert flow_outerplanar(MultiGraph(n, edges)) == TM1
 
 
 def test_build_dual_shapes():

@@ -6,6 +6,11 @@ caterpillars and prints one row per size: n, seconds, ratio to the
 previous row, and the bit length of the largest output coefficient
 (the arithmetic payload that dominates past a few hundred vertices).
 
+--family bridged times chromatic_vjtree on random recursive trees with
+n/16 joined vertices and shuffled labels, where most edges are bridges
+and the bridge factor (t-1)^b is most of the output; its rows are
+the same as for tree.
+
 --family outerplanar times flow_outerplanar on one polygon per size
 with n/200 non-crossing chords and shuffled vertex labels, where the
 graph work (blocks, outer-cycle certificate, dual) carries the load;
@@ -21,9 +26,21 @@ import time
 from chromaflow.generators import random_caterpillar
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
-from chromaflow.vjtree import chromatic_vjtree
+from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
 
-DEFAULT_SIZES = {"tree": "512,1024,2048,4096", "outerplanar": "6000,12000,24000,48000"}
+DEFAULT_SIZES = {
+    "tree": "512,1024,2048,4096",
+    "bridged": "1024,2048,4096,8192",
+    "outerplanar": "6000,12000,24000,48000",
+}
+
+
+def bridged_tree(rng: random.Random, n: int) -> VertexJoinTree:
+    """Random recursive tree with n/16 joined vertices, labels shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = tuple((perm[rng.randrange(i)], perm[i]) for i in range(1, n))
+    return VertexJoinTree(n, edges, {v: 1 for v in rng.sample(range(n), n // 16)})
 
 
 def chorded_polygon(rng: random.Random, n: int) -> MultiGraph:
@@ -51,23 +68,22 @@ def chorded_polygon(rng: random.Random, n: int) -> MultiGraph:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
-    ap.add_argument("--sizes", help="comma-separated vertex counts "
-                    "(default: 512..4096 for tree, 6000..48000 for outerplanar)")
+    ap.add_argument("--sizes", help="comma-separated vertex counts (default: 512..4096 "
+                    "for tree, 1024..8192 for bridged, 6000..48000 for outerplanar)")
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
                     help="runs per size; fastest is reported")
     args = ap.parse_args()
     sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
-    tree = args.family == "tree"
+    make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon}[args.family]
+    compute = flow_outerplanar if args.family == "outerplanar" else chromatic_vjtree
+    show_bits = compute is chromatic_vjtree
 
     rng = random.Random(args.seed)
-    print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if tree else ""))
+    print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else ""))
     prev = None
     for n in sizes:
-        if tree:
-            instance, compute = random_caterpillar(rng, n), chromatic_vjtree
-        else:
-            instance, compute = chorded_polygon(rng, n), flow_outerplanar
+        instance = make(rng, n)
         best = float("inf")
         poly = None
         for _ in range(args.repeat):
@@ -75,7 +91,7 @@ def main() -> None:
             poly = compute(instance)
             best = min(best, time.perf_counter() - t0)
         ratio = f"{best / prev:7.2f}" if prev else f"{'-':>7}"
-        bits = f" {max(abs(c).bit_length() for c in poly.coeffs):>15}" if tree else ""
+        bits = f" {max(abs(c).bit_length() for c in poly.coeffs):>15}" if show_bits else ""
         print(f"{n:>8} {best:>10.3f} {ratio}{bits}")
         prev = best
 

@@ -38,6 +38,10 @@ MAX_GR_VERTICES = 1_000_000
 # length of the dual string.  On the same VM, flow wheel on 4096 single
 # spokes takes about 23 s and 44 MB and prints 6 MB.
 MAX_PHI_TOTAL = 4096
+# The length of a --phi string for chromatic wheel.  The transfer is
+# Theta(n^3) bit work: a random 0/1 string of 4096 entries takes about
+# 41 s on the same VM.
+MAX_PHI_LENGTH = 4096
 
 # int()'s decimal syntax once surrounding whitespace is stripped.
 _DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -226,7 +230,10 @@ def _dispatch(args) -> list[str]:
             mult[v - 1] = mult.get(v - 1, 0) + 1
         poly = chromatic_clique_join(args.n, mult)
     elif cmd == ("chromatic", "wheel"):
-        poly = chromatic_wheel(_phi_arg(args.phi))
+        phi = _phi_arg(args.phi)
+        if phi.n > MAX_PHI_LENGTH:
+            raise InvalidSize(f"phi string of {phi.n} entries exceeds the limit {MAX_PHI_LENGTH}")
+        poly = chromatic_wheel(phi)
     elif cmd == ("flow", "outerplanar"):
         poly = flow_outerplanar(parse_gr_file(args.file))
     elif cmd == ("flow", "wheel"):

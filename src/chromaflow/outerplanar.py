@@ -31,10 +31,8 @@ from typing import Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph
-from .polyring import T, ZERO, IntPoly
+from .polyring import ZERO, IntPoly, linear_power
 from .vjtree import VertexJoinTree, chromatic_vjtree
-
-_TM1 = IntPoly((-1, 1))
 
 Edge = tuple[int, int]
 
@@ -256,15 +254,16 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
 
     Block by block: a one-edge block (a bridge) kills the flow outright,
     isolated vertices are inert, loops factor out (t - 1) each, and
-    every other block goes through its dual: F = P(dual) / t per block.
+    every other block goes through its dual: F = P(dual) / t per block,
+    which is P(dual) with its zero constant term dropped.
     """
     blocks = g.blocks()
     if any(len(block) == 1 for block in blocks):
         return ZERO
-    result = _TM1 ** sum(1 for u, v in g.edges if u == v)
+    result = linear_power(1, sum(1 for u, v in g.edges if u == v))
     for block in blocks:
         dual, _ = build_dual(_certify(*_block_graph(g, block)))
-        result = result * chromatic_vjtree(dual).exact_div(T)
+        result = result * IntPoly(chromatic_vjtree(dual).coeffs[1:])
     return result
 
 

@@ -13,6 +13,12 @@ operand's length.  The Kronecker path turns wide ints into digits
 through Decimal and reads digits back in pieces short enough for any
 sys.set_int_max_str_digits setting, so it works whatever that limit is.
 
+Powers of a linear factor, (t - a)^k, come from their binomial row
+(linear_power) in O(k) small-integer steps; the closed forms and the
+tree and flow algorithms use it instead of repeated squaring, which
+costs a full multiply per step.  IntPoly ** stays as the general ring
+operation.
+
 >>> T * T - T
 IntPoly((0, -1, 1))
 >>> chromatic_tree(3).evaluate(3)
@@ -418,6 +424,23 @@ def _at_width(p: IntPoly | _Packed, w: int) -> Decimal:
     return _pack(p.coeffs, w) if isinstance(p, IntPoly) else p.at_width(w)
 
 
+def linear_power(a: int, k: int) -> IntPoly:
+    """(t - a)^k from its binomial row, with no polynomial multiply.
+
+    The coefficient of t^(k-j) is C(k, j) (-a)^j; each follows from the
+    one before in a small-integer step, so the row costs O(k) steps.
+    """
+    if k < 0:
+        raise InvalidSize(f"negative exponent {k}")
+    row = [1]
+    c = 1
+    for j in range(k):
+        c = c * (k - j) // (j + 1) * -a
+        row.append(c)
+    row.reverse()
+    return IntPoly(row)
+
+
 def chromatic_complete(n: int) -> IntPoly:
     """Chromatic polynomial of the complete graph: t(t-1)...(t-n+1)."""
     if n < 1:
@@ -433,13 +456,12 @@ def chromatic_cycle(n: int) -> IntPoly:
     """
     if n < 1:
         raise InvalidSize(f"cycle needs n >= 1, got {n}")
-    tm1 = IntPoly((-1, 1))
     sign = 1 if n % 2 == 0 else -1
-    return tm1**n + sign * tm1
+    return linear_power(1, n) + sign * IntPoly((-1, 1))
 
 
 def chromatic_tree(n: int) -> IntPoly:
     """Chromatic polynomial of any tree on n vertices: t(t-1)^(n-1)."""
     if n < 1:
         raise InvalidSize(f"tree needs n >= 1, got {n}")
-    return T * IntPoly((-1, 1)) ** (n - 1)
+    return IntPoly((0, *linear_power(1, n - 1).coeffs))

@@ -8,9 +8,9 @@ stages:
   1. multiplicities clamp to 0/1 (parallel edges are chromatically
      inert), and empty or singleton joins fall out as closed forms;
   2. every tree edge not on a cycle of the joined graph is a bridge;
-     stripping them multiplies the polynomial by (t-1) per edge and
-     leaves the minimal subtree spanning the joined vertices, whose
-     leaves are all joined;
+     stripping them takes out a factor (t-1) per edge and leaves the
+     minimal subtree spanning the joined vertices, whose leaves are all
+     joined;
   3. one sweep over that core, rooted at its smallest joined vertex,
      evaluates division-free recurrences along heavy paths.
 
@@ -30,7 +30,10 @@ Z = {c : unjoined}, the clique-cut products over the shared apex edge
 
 Leaves are joined and take pt' = 1; ph' is read only for unjoined
 children, so a leaf's is never needed.  The answer for the core is
-t(t-1) pt'_root.
+t(t-1) pt'_root, and with b bridges stripped P is that times (t-1)^b.
+The bridge factor (t-1)^b is built from its binomial row
+(polyring.linear_power) and multiplied in once.  The closed forms for
+at most one joined vertex are shifted binomial rows, with no multiply.
 
 Every vertex's pair is linear in its heavy child's pair (the child
 with the largest subtree; Sleator-Tarjan heavy paths), so it is a 2x2
@@ -60,9 +63,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSize, InvalidTree, InvalidVertex
 from .multigraph import MultiGraph
-from .polyring import T, ZERO, IntPoly, balanced_product
+from .polyring import T, ZERO, IntPoly, balanced_product, linear_power
 
-_TM1 = IntPoly((-1, 1))
 _TM2 = IntPoly((-2, 1))
 _TTM1 = IntPoly((0, -1, 1))
 
@@ -157,9 +159,9 @@ def chromatic_small_s(t: VertexJoinTree) -> IntPoly | None:
     """
     s = len(t.mult)
     if s == 0:
-        return IntPoly((0, 0, 1)) * _TM1 ** (t.n - 1)
+        return IntPoly((0, 0, *linear_power(1, t.n - 1).coeffs))
     if s == 1:
-        return T * _TM1**t.n
+        return IntPoly((0, *linear_power(1, t.n).coeffs))
     return None
 
 
@@ -288,8 +290,8 @@ def _vertex_matrix(
             z_sum.append(_TM2 * pt + ph)
     h_joined = h in mult
     common = balanced_product(prod_i)
-    alpha = common * balanced_product([_TM1 ** len(light), *z_diff])
-    beta = common * balanced_product([_TM2 ** (len(prod_i) + h_joined), *z_sum])
+    alpha = common * balanced_product([linear_power(1, len(light)), *z_diff])
+    beta = common * balanced_product([linear_power(2, len(prod_i) + h_joined), *z_sum])
     if h_joined:
         ph_row: tuple[IntPoly, ...] = (alpha,)
         p1_row: tuple[IntPoly, ...] = (beta,)
@@ -335,7 +337,7 @@ def chromatic_vjtree(t: VertexJoinTree) -> IntPoly:
     if early is not None:
         return early
     reduction = strip_bridges(t)
-    return heavy_path_sweep(reduction.core) * _TM1**reduction.b
+    return heavy_path_sweep(reduction.core) * linear_power(1, reduction.b)
 
 
 # -- reference sweep ---------------------------------------------------------

@@ -371,6 +371,27 @@ def test_phi_total_guard(monkeypatch, capsys):
     assert calls == [cli.MAX_PHI_TOTAL] * 2
 
 
+def test_phi_length_guard(monkeypatch, capsys):
+    calls = []
+
+    def fake_transfer(values):
+        calls.append(len(values))
+        return IntPoly((0, 1))
+
+    monkeypatch.setattr(wheels, "_transfer", fake_transfer)
+    code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", ",".join(["1"] * 4097))
+    assert code == 1 and out == ""
+    assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1
+    assert calls == []
+
+    monkeypatch.setattr(cli, "MAX_PHI_LENGTH", 5)
+    code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", "1,0,1,0,1,0")
+    assert code == 1 and out == "" and err.startswith("error: InvalidSize: ")
+    assert calls == []
+    assert invoke(capsys, "chromatic", "wheel", "--phi", "1,0,1,0,1")[0] == 0
+    assert calls == [5]
+
+
 def test_help_returns_exit_code(capsys):
     code, out, err = invoke(capsys, "chromatic", "wheel", "-h")
     assert code == 0 and err == ""

@@ -23,6 +23,7 @@ from chromaflow.polyring import (
     chromatic_complete,
     chromatic_cycle,
     chromatic_tree,
+    linear_power,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=30)
@@ -90,6 +91,14 @@ def test_pow():
     assert (T**5).coeffs == (0, 0, 0, 0, 0, 1)
     with pytest.raises(InvalidSize):
         T ** (-1)
+
+
+@SETTINGS
+@given(st.integers(-5, 5), st.integers(0, 300))
+def test_linear_power_matches_pow(a, k):
+    assert linear_power(a, k) == IntPoly((-a, 1)) ** k
+    with pytest.raises(InvalidSize):
+        linear_power(a, -1 - k)
 
 
 def test_exact_div_frozen():

@@ -76,6 +76,20 @@ def test_small_s_closed_forms():
         T * TM1**4
     )
     assert chromatic_small_s(path3({0: 1, 2: 1})) is None
+    # a long path, s = 0 and s = 1
+    n = 2000
+    path = tuple((i, i + 1) for i in range(n - 1))
+    assert chromatic_small_s(VertexJoinTree(n, path, {})) == T**2 * TM1 ** (n - 1)
+    assert chromatic_small_s(VertexJoinTree(n, path, {n // 2: 3})) == T * TM1**n
+
+
+def test_long_bridged_tail():
+    # An edge joined at both ends closes a triangle with the apex; the
+    # 3000-vertex unjoined path hanging off it is 3000 bridges.
+    n = 3002
+    t = VertexJoinTree(n, tuple((i, i + 1) for i in range(n - 1)), {0: 1, 1: 1})
+    expected = T * TM1 * TM2 * TM1**3000
+    assert chromatic_vjtree(t) == expected
 
 
 def test_strip_bridges_cases():

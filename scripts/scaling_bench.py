@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall-time scaling of the tree sweep or of outerplanar flows.
+"""Wall-time scaling of the tree sweep, of wheels or of outerplanar flows.
 
 --family tree (the default) times chromatic_vjtree on random
 caterpillars and prints one row per size: n, seconds, ratio to the
@@ -10,6 +10,9 @@ previous row, and the bit length of the largest output coefficient
 n/16 joined vertices and shuffled labels, where most edges are bridges
 and the bridge factor (t-1)^b is most of the output; its rows are
 the same as for tree.
+
+--family wheel times chromatic_wheel on random 0/1 phi-strings, each
+entry joined with probability 1/2; its rows are the same as for tree.
 
 --family outerplanar times flow_outerplanar on one polygon per size
 with n/200 non-crossing chords and shuffled vertex labels, where the
@@ -27,11 +30,13 @@ from chromaflow.generators import random_caterpillar
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
+from chromaflow.wheels import PhiString, chromatic_wheel
 
 DEFAULT_SIZES = {
     "tree": "512,1024,2048,4096",
     "bridged": "1024,2048,4096,8192",
     "outerplanar": "6000,12000,24000,48000",
+    "wheel": "512,1024,2048,4096,8192",
 }
 
 
@@ -41,6 +46,11 @@ def bridged_tree(rng: random.Random, n: int) -> VertexJoinTree:
     rng.shuffle(perm)
     edges = tuple((perm[rng.randrange(i)], perm[i]) for i in range(1, n))
     return VertexJoinTree(n, edges, {v: 1 for v in rng.sample(range(n), n // 16)})
+
+
+def random_wheel(rng: random.Random, n: int) -> PhiString:
+    """Random 0/1 phi-string of n entries."""
+    return PhiString(tuple(rng.randint(0, 1) for _ in range(n)))
 
 
 def chorded_polygon(rng: random.Random, n: int) -> MultiGraph:
@@ -69,15 +79,17 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
     ap.add_argument("--sizes", help="comma-separated vertex counts (default: 512..4096 "
-                    "for tree, 1024..8192 for bridged, 6000..48000 for outerplanar)")
+                    "for tree, 1024..8192 for bridged, 6000..48000 for outerplanar, "
+                    "512..8192 for wheel)")
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
                     help="runs per size; fastest is reported")
     args = ap.parse_args()
     sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
-    make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon}[args.family]
-    compute = flow_outerplanar if args.family == "outerplanar" else chromatic_vjtree
-    show_bits = compute is chromatic_vjtree
+    make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon,
+            "wheel": random_wheel}[args.family]
+    compute = {"outerplanar": flow_outerplanar, "wheel": chromatic_wheel}.get(args.family, chromatic_vjtree)
+    show_bits = compute is not flow_outerplanar
 
     rng = random.Random(args.seed)
     print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else ""))

@@ -4,9 +4,9 @@ Core objects: IntPoly (exact integer polynomials), MultiGraph,
 VertexJoinTree (a tree whose vertices join an extra apex with
 multiplicities).  Fast paths: a heavy-path sweep for join-tree chromatic
 polynomials, outerplanar flow polynomials through the dual tree, a
-closed formula for joined cliques and a transfer recurrence for
-generalized wheels.  Slow deletion-contraction oracles back everything
-for validation.
+closed formula for joined cliques and one product over faces for the
+chromatic and flow polynomials of generalized wheels.  Slow
+deletion-contraction oracles back everything for validation.
 """
 
 from .errors import (

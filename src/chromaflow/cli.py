@@ -34,13 +34,16 @@ from .wheels import (
 MAX_CLIQUE_N = 4096
 # A .gr header's vertex count; the graph keeps a few lists of this length.
 MAX_GR_VERTICES = 1_000_000
-# The spoke total of a --phi string for dual phi and flow wheel, the
-# length of the dual string.  On the same VM, flow wheel on 4096 single
-# spokes takes about 23 s and 44 MB and prints 6 MB.
+# The spoke total of a --phi string for dual phi and flow wheel: the
+# length of the dual string and the degree of the flow polynomial,
+# whose output is Theta(s^2) bits.  On the same VM, flow wheel on 1 to
+# 3 spokes at 2048 vertices (4082 in all) takes about 1.0 s and 44 MB
+# and prints 5 MB.
 MAX_PHI_TOTAL = 4096
-# The length of a --phi string for chromatic wheel.  The transfer is
-# Theta(n^3) bit work: a random 0/1 string of 4096 entries takes about
-# 41 s on the same VM.
+# The length of a --phi string for chromatic wheel, the degree of its
+# polynomial, whose output is Theta(n^2) bits.  A random 0/1 string of
+# 4096 entries takes about 0.9 s and 43 MB on the same VM and prints
+# 5 MB.
 MAX_PHI_LENGTH = 4096
 
 # int()'s decimal syntax once surrounding whitespace is stripped.
@@ -210,8 +213,9 @@ def _phi_arg(text: str) -> PhiString:
 
 
 def _dual_phi_arg(text: str) -> PhiString:
-    # phi_dual builds a string as long as the spoke total.  The total is
-    # not formatted: str() refuses integers past 4300 digits.
+    # phi_dual builds a string as long as the spoke total, and the flow
+    # polynomial has that degree.  The total is not formatted: str()
+    # refuses integers past 4300 digits.
     phi = _phi_arg(text)
     if phi.s > MAX_PHI_TOTAL:
         raise InvalidSize(f"phi entries sum above the limit {MAX_PHI_TOTAL}")

@@ -17,7 +17,8 @@ Powers of a linear factor, (t - a)^k, come from their binomial row
 (linear_power) in O(k) small-integer steps; the closed forms and the
 tree and flow algorithms use it instead of repeated squaring, which
 costs a full multiply per step.  IntPoly ** stays as the general ring
-operation.
+operation.  The same row less its constant term is the face factor
+D_k = ((t - 1)^k - (-1)^k) / t (cycle_quotient) of the wheel product.
 
 >>> T * T - T
 IntPoly((0, -1, 1))
@@ -439,6 +440,15 @@ def linear_power(a: int, k: int) -> IntPoly:
         row.append(c)
     row.reverse()
     return IntPoly(row)
+
+
+def cycle_quotient(k: int) -> IntPoly:
+    """D_k = ((t - 1)^k - (-1)^k) / t = P(C_(k+1)) / (t (t - 1)).
+
+    It is the binomial row of (t - 1)^k with its constant term dropped,
+    so it needs no division.  D_0 = 0, D_1 = 1 and D_2 = t - 2.
+    """
+    return IntPoly(linear_power(1, k).coeffs[1:])
 
 
 def chromatic_complete(n: int) -> IntPoly:

@@ -308,14 +308,17 @@ def _chain_product(mats: list[_Matrix]) -> _Matrix:
     # half of the range's weight, so that both operands of every product
     # are about the same length.
     prefix = [0, *accumulate(max(len(p.coeffs) for row in m for p in row) for m in mats)]
+    return _range_product(mats, prefix, 0, len(mats))
 
-    def product(lo: int, hi: int) -> _Matrix:
-        if hi - lo == 1:
-            return mats[lo]
-        mid = bisect_left(prefix, (prefix[lo] + prefix[hi]) / 2, lo + 1, hi - 1)
-        return _mat_mul(product(lo, mid), product(mid, hi))
 
-    return product(0, len(mats))
+def _range_product(mats: list[_Matrix], prefix: list[int], lo: int, hi: int) -> _Matrix:
+    # Module level, not a closure: a recursive closure holds itself
+    # through its cell, a reference cycle that keeps the chain's
+    # matrices alive until the cyclic collector runs.
+    if hi - lo == 1:
+        return mats[lo]
+    mid = bisect_left(prefix, (prefix[lo] + prefix[hi]) / 2, lo + 1, hi - 1)
+    return _mat_mul(_range_product(mats, prefix, lo, mid), _range_product(mats, prefix, mid, hi))
 
 
 def _mat_mul(a: _Matrix, b: _Matrix) -> _Matrix:

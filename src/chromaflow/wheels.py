@@ -8,20 +8,31 @@ vertex bounds a two-sided face (a zero in the dual), and the last spoke
 at a vertex bounds, together with the first spoke at the next joined
 vertex, a face with one dual spoke per outer edge between them.
 
-The chromatic polynomial is a transfer recurrence around the cycle
-(Biggs-Damerell-Sands, "Recursive families of graphs", 1972).  Fix the
-apex colour A and the colour c0 of v0.  If c0 != A, each later cycle
-vertex is in one of three states, X (colour A), Y (colour c0) or
-Z (any other colour, summed over them), and one step along the cycle
-maps the counts (x, y, z) by
+The chromatic polynomial is one product over the bounded faces, plus
+(t - 2) times a sign.  Fix the apex colour (the factor t, so
+W = P / t) and the colour c0 of a joined vertex v0 (t - 1 choices).
+Between consecutive joined vertices
+m cycle edges apart, the colourings of the path are walks of length m
+in K_t that avoid the apex colour at both ends.  Over the states
+"colour c0" and "another non-apex colour" (summed over the t - 2 of
+them) such a step is the 2x2 block S I + D_m N, where
+N = [[0, t-2], [1, t-3]], S = D_m + (-1)^m counts closed walks and
+D_k = ((t - 1)^k - (-1)^k) / t (polyring.cycle_quotient).  The blocks
+share N, so they commute; their eigenvalues are D_(m+1) (eigenvector
+(1, 1)) and (-1)^m (eigenvector (t - 2, -1)).  Projecting the product
+back onto c0's state and multiplying by t - 1 gives
 
-  X -> (0, 1, t-2),   Y -> (1, 0, t-2),   Z -> (1, 1, t-3),
+  W = (t - 2) (-1)^n + prod_i D_(m_i + 1),
 
-except that a joined vertex cannot be X.  The cycle closes when the
-last vertex is not Y, and c0 has t - 1 choices.  If v0 is unjoined it
-may also take colour A; then two states remain, A or not.  The sum is
-W = P / t, and the flow polynomial is W of the dual wheel.  Every step
-multiplies by a linear factor, so there is no division anywhere.
+one factor per face, of size m_i + 2; an ordinary wheel gives the
+known W = (t - 2)^n + (-1)^n (t - 2).  With no joined vertex W is
+P(C_n).  The flow polynomial is W of the dual wheel.  In the dual
+string the a_i spokes at vertex i become a_i - 1 zeros and one nonzero
+entry, so the dual's runs are the multiplicities a_i > 0 and
+
+  F = (t - 2) (-1)^s + prod_(a_i > 0) D_(a_i + 1),
+
+which is t - 1 when there is no spoke.  Nothing here divides.
 
 The paper's closed formulas (spoke-by-spoke deletion-contraction, each
 term a chain of cycle polynomials over t(t-1) per gluing) stay at the
@@ -38,18 +49,17 @@ from typing import Iterable, Mapping
 from .errors import InvalidSize, InvalidVertex, NoSpokes
 from .multigraph import MultiGraph
 from .polyring import (
-    ONE,
     T,
-    ZERO,
     IntPoly,
     balanced_product,
     chromatic_complete,
     chromatic_cycle,
+    cycle_quotient,
+    linear_power,
 )
 
 _TM1 = IntPoly((-1, 1))
 _TM2 = IntPoly((-2, 1))
-_TM3 = IntPoly((-3, 1))
 _TTM1 = IntPoly((0, -1, 1))
 
 
@@ -132,33 +142,33 @@ def chromatic_clique_join(n: int, mult: Mapping[int, int]) -> IntPoly:
 
 
 def chromatic_wheel(phi: PhiString) -> IntPoly:
-    """Chromatic polynomial of the wheel, by the transfer recurrence."""
-    return T * _transfer(phi.values)
+    """Chromatic polynomial of the wheel: t times the face product."""
+    joined = [i for i, a in enumerate(phi.values) if a]
+    if not joined:
+        return T * chromatic_cycle(phi.n)
+    # Cycle edges between consecutive joined vertices, the last run wrapping.
+    runs = [j - i for i, j in zip(joined, [*joined[1:], joined[0] + phi.n])]
+    return T * _face_product(runs)
 
 
 def flow_wheel(phi: PhiString) -> IntPoly:
-    """Flow polynomial of the wheel: P(dual wheel) / t.
+    """Flow polynomial of the wheel: the face product of its dual.
 
-    With one spoke the dual is a loop, whose W is zero.
+    The dual's runs are the nonzero spoke multiplicities (module
+    docstring), so no dual string is built.  With one spoke (a bridge)
+    the product is zero; with none (a bare cycle and an isolated apex)
+    it is the empty product plus t - 2, that is t - 1.
     """
-    if phi.s == 0:
-        # Bare cycle plus isolated apex: (t - 1) times 1.
-        return _TM1
-    return _transfer(phi_dual(phi).values)
+    return _face_product([a for a in phi.values if a])
 
 
-def _transfer(values: tuple[int, ...]) -> IntPoly:
-    # W = P / t of the wheel with these spoke counts (module docstring).
-    x, y, z = ZERO, ONE, ZERO
-    for a in values[1:]:
-        x, y, z = ZERO if a else y + z, x + z, _TM2 * (x + y) + _TM3 * z
-    total = _TM1 * (x + z)
-    if not values[0]:
-        on_apex, off_apex = ONE, ZERO
-        for a in values[1:]:
-            on_apex, off_apex = ZERO if a else off_apex, _TM1 * on_apex + _TM2 * off_apex
-        total = total + off_apex
-    return total
+def _face_product(runs: list[int]) -> IntPoly:
+    # W = (t - 2)(-1)^(sum of runs) + prod D_(m+1) (module docstring).
+    # The faces with m = 1 give (t - 2)^c from one binomial row.
+    product = balanced_product(
+        [linear_power(2, runs.count(1)), *(cycle_quotient(m + 1) for m in runs if m > 1)]
+    )
+    return product - _TM2 if sum(runs) % 2 else product + _TM2
 
 
 # -- reference formulas ------------------------------------------------------

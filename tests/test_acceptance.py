@@ -105,11 +105,11 @@ def wheel_corpus():
         g = phi.realize()
         closed = chromatic_wheel_telescoped(phi)
         literal = chromatic_wheel_stepwise(phi)
-        transfer = chromatic_wheel(phi)
+        faces = chromatic_wheel(phi)
         fgot = flow_wheel(phi)
         ok = (
             closed == literal
-            and closed == transfer
+            and closed == faces
             and closed == oracle_chromatic(g, memoize=True)
             and fgot == oracle_flow(g, memoize=True, force=True)
         )
@@ -169,7 +169,7 @@ def test_criterion_4_wheels(wheel_corpus):
     total, matches, _, _ = wheel_corpus
     ok = matches == total
     verdict(4, ok, f"{matches}/{total} strings: closed form == stepwise == "
-                   f"transfer == chromatic oracle, flow == flow oracle")
+                   f"face product == chromatic oracle, flow == flow oracle")
 
 
 def test_criterion_5_cliques(clique_corpus):

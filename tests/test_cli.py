@@ -361,8 +361,13 @@ def test_phi_total_guard(monkeypatch, capsys):
         calls.append(phi.s)
         return PhiString((1, 1, 1))
 
+    def fake_face_product(runs):
+        # flow wheel's runs are the spoke multiplicities; they sum to s.
+        calls.append(sum(runs))
+        return IntPoly((0, 1))
+
     monkeypatch.setattr(cli, "phi_dual", fake_dual)
-    monkeypatch.setattr(wheels, "phi_dual", fake_dual)
+    monkeypatch.setattr(wheels, "_face_product", fake_face_product)
     for command in (("dual", "phi"), ("flow", "wheel")):
         code, out, err = invoke(capsys, *command, "--phi", f"1,{cli.MAX_PHI_TOTAL}")
         assert code == 1 and out == "" and err.startswith("error: InvalidSize: ")
@@ -374,11 +379,12 @@ def test_phi_total_guard(monkeypatch, capsys):
 def test_phi_length_guard(monkeypatch, capsys):
     calls = []
 
-    def fake_transfer(values):
-        calls.append(len(values))
+    def fake_face_product(runs):
+        # chromatic wheel's runs are cycle-edge gaps; they sum to n.
+        calls.append(sum(runs))
         return IntPoly((0, 1))
 
-    monkeypatch.setattr(wheels, "_transfer", fake_transfer)
+    monkeypatch.setattr(wheels, "_face_product", fake_face_product)
     code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", ",".join(["1"] * 4097))
     assert code == 1 and out == ""
     assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1

@@ -23,6 +23,7 @@ from chromaflow.polyring import (
     chromatic_complete,
     chromatic_cycle,
     chromatic_tree,
+    cycle_quotient,
     linear_power,
 )
 
@@ -99,6 +100,14 @@ def test_linear_power_matches_pow(a, k):
     assert linear_power(a, k) == IntPoly((-a, 1)) ** k
     with pytest.raises(InvalidSize):
         linear_power(a, -1 - k)
+
+
+def test_cycle_quotient_identities():
+    assert cycle_quotient(0) == ZERO and cycle_quotient(1) == ONE
+    for k in range(1, 301):
+        d = cycle_quotient(k)
+        assert T * d == linear_power(1, k) - (-1) ** k
+        assert T * TM1 * d == chromatic_cycle(k + 1)
 
 
 def test_exact_div_frozen():

@@ -193,9 +193,36 @@ def test_wheel_long_random_matches_telescoped(seed):
         assert flow_wheel(phi) * T == chromatic_wheel_telescoped(phi_dual(phi))
 
 
+def _transfer_count(values, t):
+    # W(t) = P(t) / t at an integer t by the three-state transfer around
+    # the cycle (Biggs-Damerell-Sands): states X (apex colour), Y (v0's
+    # colour) and Z (another colour); a joined vertex cannot be X.  An
+    # unjoined v0 may also take the apex colour: two states, on or off it.
+    x, y, z = 0, 1, 0
+    for a in values[1:]:
+        x, y, z = 0 if a else y + z, x + z, (t - 2) * (x + y) + (t - 3) * z
+    total = (t - 1) * (x + z)
+    if not values[0]:
+        on_apex, off_apex = 1, 0
+        for a in values[1:]:
+            on_apex, off_apex = 0 if a else off_apex, (t - 1) * on_apex + (t - 2) * off_apex
+        total += off_apex
+    return total
+
+
+def test_long_random_wheel_counts_colourings():
+    rng = random.Random(2024)
+    values = tuple(rng.randint(0, 1) for _ in range(2000))
+    for phi in (PhiString((0, *values)), PhiString((1, *values))):
+        poly = chromatic_wheel(phi)
+        for t in (3, 4, 7):
+            assert poly.evaluate(t) == t * _transfer_count(phi.values, t)
+        assert flow_wheel(phi) * T == chromatic_wheel(phi_dual(phi))
+
+
 def test_plain_wheel_512():
-    # The telescoped route takes minutes here; the transfer recurrence
-    # takes a fraction of a second.
+    # The telescoped route takes minutes here; the face product is one
+    # binomial row, (t - 2)^n, plus (-1)^n (t - 2).
     n = 512
     flow = TM2**n + TM2 * (-1) ** n
     phi = PhiString((1,) * n)

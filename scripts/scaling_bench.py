@@ -18,6 +18,14 @@ entry joined with probability 1/2; its rows are the same as for tree.
 with n/200 non-crossing chords and shuffled vertex labels, where the
 graph work (blocks, outer-cycle certificate, dual) carries the load;
 its rows give n, seconds and the ratio.
+
+--family triangulated times flow_outerplanar on polygons triangulated
+by cutting ears at random (each step joins the two neighbours of a
+random remaining vertex and drops it), labels shuffled; the dual is a
+tree of triangles, mostly joined, with unjoined inner triangles where
+it branches.  --family fan does the same on fan-triangulated polygons,
+whose dual is a path of joined triangles.  Their rows are those of
+tree, with the largest coefficient of the flow polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import argparse
 import random
 import time
 
-from chromaflow.generators import random_caterpillar
+from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_labels, triangulated_polygon
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
@@ -37,6 +45,8 @@ DEFAULT_SIZES = {
     "bridged": "1024,2048,4096,8192",
     "outerplanar": "6000,12000,24000,48000",
     "wheel": "512,1024,2048,4096,8192",
+    "triangulated": "512,1024,2048,4096",
+    "fan": "512,1024,2048,4096",
 }
 
 
@@ -68,28 +78,35 @@ def chorded_polygon(rng: random.Random, n: int) -> MultiGraph:
             opened.append(p)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(a, b) for a, b in chords if b - a >= 2 and (a, b) != (0, n - 1)]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u, v in edges]
-    rng.shuffle(edges)
-    return MultiGraph(n, edges)
+    return shuffle_labels(rng, n, edges)
+
+
+def triangulated(rng: random.Random, n: int) -> MultiGraph:
+    """Polygon on n vertices triangulated by random ear cuts, labels shuffled."""
+    return shuffle_labels(rng, n, triangulated_polygon(rng, n))
+
+
+def fan(rng: random.Random, n: int) -> MultiGraph:
+    """Fan-triangulated polygon on n vertices, labels shuffled."""
+    return shuffle_labels(rng, n, fan_polygon(n))
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
     ap.add_argument("--sizes", help="comma-separated vertex counts (default: 512..4096 "
-                    "for tree, 1024..8192 for bridged, 6000..48000 for outerplanar, "
-                    "512..8192 for wheel)")
+                    "for tree, triangulated and fan, 1024..8192 for bridged, "
+                    "6000..48000 for outerplanar, 512..8192 for wheel)")
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
                     help="runs per size; fastest is reported")
     args = ap.parse_args()
     sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
     make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon,
-            "wheel": random_wheel}[args.family]
-    compute = {"outerplanar": flow_outerplanar, "wheel": chromatic_wheel}.get(args.family, chromatic_vjtree)
-    show_bits = compute is not flow_outerplanar
+            "wheel": random_wheel, "triangulated": triangulated, "fan": fan}[args.family]
+    compute = {"outerplanar": flow_outerplanar, "triangulated": flow_outerplanar,
+               "fan": flow_outerplanar, "wheel": chromatic_wheel}.get(args.family, chromatic_vjtree)
+    show_bits = args.family != "outerplanar"
 
     rng = random.Random(args.seed)
     print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else ""))

@@ -127,8 +127,39 @@ def random_outerplanar(rng: random.Random, n_max: int = 10, mult_max: int = 3,
             offset += 1
         if len(edges) <= max_edges:
             break
-    perm = list(range(offset))
+    return shuffle_labels(rng, offset, edges)
+
+
+def triangulated_polygon(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Edges of a polygon on n >= 3 vertices triangulated by random ear cuts.
+
+    Each cut joins the two cycle neighbours of a random remaining vertex
+    by a chord and drops the vertex.  Sides come first, then the chords
+    in cut order.
+    """
+    nxt = [(i + 1) % n for i in range(n)]
+    prv = [(i - 1) % n for i in range(n)]
+    alive = list(range(n))
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(n - 3):
+        i = rng.randrange(len(alive))
+        alive[i], alive[-1] = alive[-1], alive[i]
+        x = alive.pop()
+        a, b = prv[x], nxt[x]
+        edges.append((a, b))
+        nxt[a], prv[b] = b, a
+    return edges
+
+
+def fan_polygon(n: int) -> list[tuple[int, int]]:
+    """Edges of the polygon on n >= 3 vertices with every chord at vertex 0."""
+    return [(i, (i + 1) % n) for i in range(n)] + [(0, i) for i in range(2, n - 1)]
+
+
+def shuffle_labels(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> MultiGraph:
+    """The multigraph on 0..n-1 with its vertex labels and edge order shuffled."""
+    perm = list(range(n))
     rng.shuffle(perm)
     shuffled = [(perm[u], perm[v]) for u, v in edges]
     rng.shuffle(shuffled)
-    return MultiGraph(offset, shuffled)
+    return MultiGraph(n, shuffled)

@@ -44,12 +44,15 @@ class OuterCycle:
     order starts at the smallest vertex and runs toward its smaller
     cycle neighbor, so equal graphs yield identical certificates.  A
     two-vertex order marks the degenerate parallel-bundle cycle.
+    intervals holds the chords as (i, j) positions in order, i < j,
+    sorted by i and then by decreasing j: outer chords first.
     """
 
     order: tuple[int, ...]
     chord_set: tuple[Edge, ...]
     parallel_count: dict[Edge, int]
     loop_count: int
+    intervals: tuple[tuple[int, int], ...]
 
 
 def find_outer_cycle(g: MultiGraph) -> OuterCycle:
@@ -77,7 +80,7 @@ def _certify(n: int, edges: Sequence[Edge]) -> OuterCycle:
     if n == 2:
         if not counts or next(iter(counts.values())) < 2:
             raise NotOuterplanar("two vertices need a parallel bundle to close a cycle")
-        return OuterCycle((0, 1), (), counts, loop_count)
+        return OuterCycle((0, 1), (), counts, loop_count, ())
 
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in counts:
@@ -148,17 +151,17 @@ def _certify(n: int, edges: Sequence[Edge]) -> OuterCycle:
                     if (min(u, v), max(u, v)) not in counts)
         raise NotOuterplanar(f"cycle side ({u}, {v}) is not an edge")
 
-    chord_set = tuple(sorted(chords))
-    _reject_crossing_chords(
-        [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chord_set]
-    )
-    return OuterCycle(tuple(order), chord_set, counts, loop_count)
+    intervals = tuple(sorted(
+        ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chords),
+        key=lambda ij: (ij[0], -ij[1]),
+    ))
+    _reject_crossing_chords(intervals)
+    return OuterCycle(tuple(order), tuple(sorted(chords)), counts, loop_count, intervals)
 
 
-def _reject_crossing_chords(intervals: list[tuple[int, int]]) -> None:
-    # Chords as polygon index intervals must be laminar (nested or
-    # disjoint, endpoints may touch).
-    intervals = sorted(intervals, key=lambda ij: (ij[0], -ij[1]))
+def _reject_crossing_chords(intervals: Sequence[tuple[int, int]]) -> None:
+    # Chords as polygon index intervals, sorted outer first, must be
+    # laminar (nested or disjoint, endpoints may touch).
     stack: list[tuple[int, int]] = []
     for i, j in intervals:
         while stack and stack[-1][1] <= i:
@@ -187,11 +190,7 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
         mult = {0: 2} if faces == 1 else {0: 1, faces - 1: 1}
         return VertexJoinTree(faces, edges, mult), oc.loop_count
 
-    pos = {v: i for i, v in enumerate(order)}
-    intervals = sorted(
-        ((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in oc.chord_set),
-        key=lambda ij: (ij[0], -ij[1]),
-    )
+    intervals = oc.intervals
 
     # Sweep the polygon sides in order.  The stack holds the (end, face)
     # of the chords enclosing side p, innermost on top: the top owns

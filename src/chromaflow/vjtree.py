@@ -5,52 +5,52 @@ vertex carrying mult[v] parallel edges to each tree vertex v.  The
 chromatic polynomial of the realized multigraph is computed in three
 stages:
 
-  1. multiplicities clamp to 0/1 (parallel edges are chromatically
-     inert), and empty or singleton joins fall out as closed forms;
+  1. only whether a vertex is joined matters (parallel edges are
+     chromatically inert), and empty or singleton joins fall out as
+     closed forms;
   2. every tree edge not on a cycle of the joined graph is a bridge;
      stripping them takes out a factor (t-1) per edge and leaves the
      minimal subtree spanning the joined vertices, whose leaves are all
      joined;
-  3. one sweep over that core, rooted at its smallest joined vertex,
-     evaluates division-free recurrences along heavy paths.
+  3. the core is split at its joined vertices into bricks, and only
+     the bricks with an unjoined branching vertex are swept.
 
-For a vertex a let T_a be the subgraph on a, its descendants and the
-apex, and H_a the same with a identified with the apex.  The sweep
-keeps both polynomials divided by t(t-1):
+Write pt'(G) = P(G + apex) / (t(t-1)) for a piece G of the core.  A
+joined vertex and the apex form a 2-clique, and gluing two graphs
+along a clique multiplies, P(G) = P(G_1) P(G_2) / P(K_2) (Read 1968,
+"An introduction to chromatic polynomials").  So pt' of the core is
+the product of pt' over its bricks: each edge between two joined
+vertices, and each maximal connected set of unjoined vertices with its
+joined neighbours as leaves.  A one-edge brick closes a triangle with
+the apex and gives t-2; a path brick of m edges closes a cycle on m+2
+vertices and gives D_(m+1) (polyring.cycle_quotient), the face factor
+of the wheels.  With b bridges and c one-edge bricks,
 
-  pt'_a = P(T_a) / (t(t-1)),   ph'_a = P(H_a) / (t(t-1)).
+  P = t (t-1)^(b+1) (t-2)^c * prod D_(m+1) * prod pt'(branching brick),
 
-With children c_1..c_k of a split into I = {c : joined} and
-Z = {c : unjoined}, the clique-cut products over the shared apex edge
-(or apex vertex) then need no division:
+one balanced_product of binomial rows, face factors and sweeps.
 
-  ph'_a = (t-1)^(k-1) * prod_I pt'_c * prod_Z (pt'_c - ph'_c)
-  p1'_a = (t-2)^|I|   * prod_I pt'_c * prod_Z ((t-2) pt'_c + ph'_c)
-  pt'_a = p1'_a if a is joined else p1'_a + ph'_a
+A branching brick is rooted at an unjoined vertex.  For an unjoined
+vertex a let T_a be the subgraph on a, its descendants and the apex,
+and H_a the same with a identified with the apex; pt'_a and ph'_a are
+P(T_a) and P(H_a) over t(t-1).  A joined leaf has pt' = 1, so with i
+joined leaves and unjoined children Z, k = i + |Z| children in all,
+the clique-cut products need no division:
 
-Leaves are joined and take pt' = 1; ph' is read only for unjoined
-children, so a leaf's is never needed.  The answer for the core is
-t(t-1) pt'_root, and with b bridges stripped P is that times (t-1)^b.
-The bridge factor (t-1)^b is built from its binomial row
-(polyring.linear_power) and multiplied in once.  The closed forms for
-at most one joined vertex are shifted binomial rows, with no multiply.
+  ph'_a = (t-1)^(k-1) * prod_Z (pt'_c - ph'_c)
+  pt'_a = (t-2)^i * prod_Z ((t-2) pt'_c + ph'_c) + ph'_a
 
 Every vertex's pair is linear in its heavy child's pair (the child
 with the largest subtree; Sleator-Tarjan heavy paths), so it is a 2x2
 polynomial matrix applied to that pair, built from the already
-finished pairs of its light children.  A heavy path is then a chain
-of matrix products.  Where a heavy child h is joined, ph'_h is never
-read, the matrix keeps only its first column, and pt'_h factors out:
-the chain falls apart into independent segments whose values
-multiply.  Each segment's matrices are multiplied as a product tree
-split by weight (polynomial length), the compress step of tree
-contraction (Miller-Reif), so the arithmetic runs on balanced
-operands and the fast multiply carries the load.  A light child's
-pair is dropped as soon as its parent's matrix is built.
+finished pairs of its light children; a path ends in a vertex with
+joined leaves only, whose pair is closed.  A heavy path's chain is
+multiplied as a product tree split by weight (polynomial length), the
+compress step of tree contraction (Miller-Reif), so the arithmetic
+runs on balanced operands and the fast multiply carries the load.
 
-The earlier leaf-to-root sweep, which keeps P(T_a), P(H_a) per vertex
-and divides by t^(k-1) and (t(t-1))^(k-1) at every step, stays below
-as a reference that the tests compare the production sweep against.
+The leaf-to-root sweep over the whole core with exact divisions stays
+below as the reference that the tests compare the production path to.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSize, InvalidTree, InvalidVertex
 from .multigraph import MultiGraph
-from .polyring import T, ZERO, IntPoly, balanced_product, linear_power
+from .polyring import T, ZERO, IntPoly, balanced_product, cycle_quotient, linear_power
 
 _TM2 = IntPoly((-2, 1))
-_TTM1 = IntPoly((0, -1, 1))
 
 # A polynomial matrix as a tuple of rows.
 _Matrix = tuple[tuple[IntPoly, ...], ...]
@@ -201,106 +200,100 @@ def strip_bridges(t: VertexJoinTree) -> BridgeReduction:
     return BridgeReduction(core, len(removed), frozenset(removed), core_ids)
 
 
-def heavy_path_sweep(core: VertexJoinTree) -> IntPoly:
-    """P of a bridge-stripped core, by the division-free heavy-path sweep.
+class Brick(NamedTuple):
+    """Unjoined vertices of one brick, renumbered 0..k-1 in BFS order.
 
-    Every leaf of the core other than the root must be joined, as
-    strip_bridges leaves it.  The root is the smallest joined vertex.
+    parent[i] < i is the parent of vertex i (parent[0] = -1), and
+    leaves[i] counts the joined neighbours hanging off it as leaves.
     """
-    if not core.mult:
-        raise InvalidTree("no joined vertex available as root")
-    root = min(core.mult)
+
+    parent: tuple[int, ...]
+    leaves: tuple[int, ...]
+
+
+class Bricks(NamedTuple):
+    """A bridge-stripped core cut at its joined vertices."""
+
+    edges: int  # one-edge bricks, t-2 each
+    paths: list[int]  # edge counts m of the path bricks, D_(m+1) each
+    branching: list[Brick]  # bricks with an unjoined branching vertex
+
+
+def split_bricks(core: VertexJoinTree) -> Bricks:
+    """Cut a bridge-stripped core at every joined vertex."""
+    joined = core.mult
     adj = core.adjacency()
-    parent = [-1] * core.n
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    if len(order) != core.n:
-        raise InvalidTree("core is not connected")
-    size = [1] * core.n
-    heavy = [-1] * core.n
-    for v in reversed(order[1:]):
+    seen = [False] * core.n
+    paths: list[int] = []
+    branching: list[Brick] = []
+    for v in range(core.n):
+        if v in joined or seen[v]:
+            continue
+        order, parent, leaves = [v], [-1], []
+        seen[v] = True
+        for i, u in enumerate(order):
+            j = 0
+            for w in adj[u]:
+                if w in joined:
+                    j += 1
+                elif not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+                    parent.append(i)
+            leaves.append(j)
+        if all(len(adj[u]) == 2 for u in order):
+            paths.append(len(order) + 1)
+        else:
+            branching.append(Brick(tuple(parent), tuple(leaves)))
+    edges = sum(1 for u, v in core.tree_edges if u in joined and v in joined)
+    return Bricks(edges, paths, branching)
+
+
+def heavy_path_sweep(brick: Brick) -> IntPoly:
+    """pt' of a brick, by the division-free heavy-path sweep.
+
+    A vertex without unjoined children must have a joined leaf.
+    """
+    parent, leaves = brick
+    k = len(parent)
+    size = [1] * k
+    heavy = [-1] * k
+    children: list[list[int]] = [[] for _ in range(k)]
+    for v in range(k - 1, 0, -1):
         p = parent[v]
         size[p] += size[v]
+        children[p].append(v)
         if heavy[p] < 0 or size[v] > size[heavy[p]]:
             heavy[p] = v
     # Heads of heavy paths, deepest first: a path's light children head
     # deeper paths, so their pairs are pending when the path is swept.
-    pending: dict[int, tuple[IntPoly, IntPoly | None]] = {}
-    for v in reversed(order):
-        if v == root or heavy[parent[v]] != v:
-            pending[v] = _path_pair(v, adj, parent, heavy, core.mult, pending)
-    return _TTM1 * pending[root][0]
+    # A head's pair is (pt', ph'), and (pt',) alone for the root.
+    pending: dict[int, tuple[IntPoly, ...]] = {}
+    for head in range(k - 1, -1, -1):
+        if head and heavy[parent[head]] == head:
+            continue
+        chain: list[_Matrix] = []
+        u = head
+        while heavy[u] >= 0:
+            h = heavy[u]
+            chain.append(_vertex_matrix(leaves[u], [pending.pop(c) for c in children[u] if c != h]))
+            u = h
+        if not leaves[u]:
+            raise InvalidTree("brick leaf is not joined")
+        ph = linear_power(1, leaves[u] - 1)
+        chain.append(((linear_power(2, leaves[u]) + ph,), (ph,)))
+        if not head:
+            chain[0] = chain[0][:1]
+        pending[head] = tuple(row[0] for row in _chain_product(chain))
+    return pending[0][0]
 
 
-def _path_pair(
-    head: int,
-    adj: list[list[int]],
-    parent: list[int],
-    heavy: list[int],
-    mult: Mapping[int, int],
-    pending: dict[int, tuple[IntPoly, IntPoly | None]],
-) -> tuple[IntPoly, IntPoly | None]:
-    # (pt', ph') of a path head; ph' only for an unjoined head, the one
-    # case a parent reads it.
-    need_ph = head not in mult
-    segments = []
-    chain: list[_Matrix] = []
-    u = head
-    while heavy[u] >= 0:
-        h = heavy[u]
-        light = [c for c in adj[u] if c != parent[u] and c != h]
-        chain.append(_vertex_matrix(u, h, light, mult, pending))
-        if h in mult:
-            if segments or not need_ph:
-                chain[0] = chain[0][:1]
-            segments.append(_chain_product(chain))
-            chain = []
-        u = h
-    if u not in mult:
-        raise InvalidTree(f"core leaf {u} is not joined")
-    if need_ph:
-        rest = balanced_product(seg[0][0] for seg in segments[1:])
-        return segments[0][0][0] * rest, segments[0][1][0] * rest
-    return balanced_product(seg[0][0] for seg in segments), None
-
-
-def _vertex_matrix(
-    u: int,
-    h: int,
-    light: Sequence[int],
-    mult: Mapping[int, int],
-    pending: dict[int, tuple[IntPoly, IntPoly | None]],
-) -> _Matrix:
-    # Rows pt'_u and ph'_u as linear forms in (pt'_h, ph'_h); a joined h
-    # gets the first column only, since its ph' is never read.
-    prod_i = []
-    z_diff = []
-    z_sum = []
-    for c in light:
-        pt, ph = pending.pop(c)
-        if c in mult:
-            prod_i.append(pt)
-        else:
-            z_diff.append(pt - ph)
-            z_sum.append(_TM2 * pt + ph)
-    h_joined = h in mult
-    common = balanced_product(prod_i)
-    alpha = common * balanced_product([linear_power(1, len(light)), *z_diff])
-    beta = common * balanced_product([linear_power(2, len(prod_i) + h_joined), *z_sum])
-    if h_joined:
-        ph_row: tuple[IntPoly, ...] = (alpha,)
-        p1_row: tuple[IntPoly, ...] = (beta,)
-    else:
-        ph_row = (alpha, -alpha)
-        p1_row = (_TM2 * beta, beta)
-    if u in mult:
-        return (p1_row, ph_row)
-    return (tuple(x + y for x, y in zip(p1_row, ph_row)), ph_row)
+def _vertex_matrix(i: int, light: list[tuple[IntPoly, ...]]) -> _Matrix:
+    # Rows pt'_u and ph'_u as linear forms in (pt'_h, ph'_h), for a vertex
+    # u with i joined leaves, a heavy child h and these light children.
+    alpha = balanced_product([linear_power(1, i + len(light)), *(pt - ph for pt, ph in light)])
+    beta = balanced_product([linear_power(2, i), *(_TM2 * pt + ph for pt, ph in light)])
+    return ((_TM2 * beta + alpha, beta - alpha), (alpha, -alpha))
 
 
 def _chain_product(mats: list[_Matrix]) -> _Matrix:
@@ -335,17 +328,26 @@ def _dot(xs: Sequence[IntPoly], ys: Sequence[IntPoly]) -> IntPoly:
 
 def chromatic_vjtree(t: VertexJoinTree) -> IntPoly:
     """Chromatic polynomial of the realized join, exactly."""
-    t = reduce_multiplicities(t)
     early = chromatic_small_s(t)
     if early is not None:
         return early
     reduction = strip_bridges(t)
-    return heavy_path_sweep(reduction.core) * linear_power(1, reduction.b)
+    bricks = split_bricks(reduction.core)
+    faces = {m: cycle_quotient(m + 1) for m in set(bricks.paths)}
+    product = balanced_product([
+        linear_power(1, reduction.b + 1),
+        linear_power(2, bricks.edges),
+        *(faces[m] for m in bricks.paths),
+        *map(heavy_path_sweep, bricks.branching),
+    ])
+    return IntPoly((0, *product.coeffs))
 
 
 # -- reference sweep ---------------------------------------------------------
 # The leaf-to-root sweep with exact divisions, kept as the cross-check
-# that the tests compare heavy_path_sweep against.
+# that the tests compare chromatic_vjtree against.
+
+_TTM1 = IntPoly((0, -1, 1))
 
 
 class NodeState(NamedTuple):

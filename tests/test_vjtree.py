@@ -2,7 +2,8 @@
 
 The sweeps are checked against frozen closed forms and against the
 deletion-contraction oracle on realized multigraphs; the production
-heavy-path sweep is also checked against the reference sweep.
+path (bricks, closed forms and the heavy-path sweep) is also checked
+against the reference sweep.
 """
 
 from __future__ import annotations
@@ -13,17 +14,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromaflow import vjtree
 from chromaflow.errors import InvalidTree, InvalidVertex
-from chromaflow.generators import random_caterpillar, random_vjtree
-from chromaflow.oracle import oracle_chromatic
-from chromaflow.polyring import IntPoly, T, chromatic_cycle
+from chromaflow.generators import (
+    fan_polygon,
+    random_caterpillar,
+    random_vjtree,
+    shuffle_labels,
+    triangulated_polygon,
+)
+from chromaflow.multigraph import MultiGraph
+from chromaflow.oracle import oracle_chromatic, oracle_flow
+from chromaflow.outerplanar import build_dual, find_outer_cycle, flow_outerplanar
+from chromaflow.polyring import IntPoly, T, chromatic_cycle, cycle_quotient
 from chromaflow.vjtree import (
+    Brick,
+    Bricks,
     VertexJoinTree,
     build_leveled,
     chromatic_small_s,
     chromatic_vjtree,
     heavy_path_sweep,
     reduce_multiplicities,
+    split_bricks,
     strip_bridges,
     sweep,
 )
@@ -198,12 +211,11 @@ def star(leaves, rng):
 
 
 def sweeps_agree(t):
-    """Heavy-path and reference sweeps on the stripped core; False if there is none."""
-    t = reduce_multiplicities(t)
+    """Production path and reference sweep on the stripped core; False if there is none."""
     if chromatic_small_s(t) is not None:
         return False
-    core = strip_bridges(t).core
-    assert heavy_path_sweep(core) == sweep(build_leveled(core), core)
+    red = strip_bridges(reduce_multiplicities(t))
+    assert chromatic_vjtree(t) == sweep(build_leveled(red.core), red.core) * TM1**red.b
     return True
 
 
@@ -229,5 +241,83 @@ def test_heavy_path_sweep_matches_reference_and_oracle():
 
 
 def test_heavy_path_sweep_needs_joined_leaves():
+    (brick,) = split_bricks(path3({0: 1})).branching
     with pytest.raises(InvalidTree):
-        heavy_path_sweep(path3({0: 1}))
+        heavy_path_sweep(brick)
+
+
+def no_sweep(brick):
+    raise AssertionError(f"swept {brick}")
+
+
+def test_one_edge_and_path_bricks_are_closed_forms(monkeypatch):
+    monkeypatch.setattr(vjtree, "heavy_path_sweep", no_sweep)
+    edge = VertexJoinTree(2, ((0, 1),), {0: 1, 1: 2})
+    assert split_bricks(edge) == Bricks(1, [], [])
+    assert chromatic_vjtree(edge) == T * TM1 * TM2
+    for m in range(2, 12):
+        path = VertexJoinTree(m + 1, tuple((i, i + 1) for i in range(m)), {0: 1, m: 1})
+        assert split_bricks(path) == Bricks(0, [m], [])
+        assert chromatic_vjtree(path) == T * TM1 * cycle_quotient(m + 1)
+        assert chromatic_vjtree(path) == chromatic_cycle(m + 2)
+    # All joined: every edge is a brick of its own, one (t-2)^(n-1) row.
+    n = 500
+    path = VertexJoinTree(n, tuple((i, i + 1) for i in range(n - 1)), {v: 1 for v in range(n)})
+    assert split_bricks(path) == Bricks(n - 1, [], [])
+    assert chromatic_vjtree(path) == T * TM1 * TM2 ** (n - 1)
+
+
+def test_branching_bricks_run_the_sweep(monkeypatch):
+    swept = []
+
+    def recording(brick):
+        swept.append(brick)
+        return heavy_path_sweep(brick)
+
+    monkeypatch.setattr(vjtree, "heavy_path_sweep", recording)
+    # A star with an unjoined centre is one brick with three leaves.
+    star = VertexJoinTree(4, ((0, 1), (0, 2), (0, 3)), {1: 1, 2: 1, 3: 1})
+    assert split_bricks(star) == Bricks(0, [], [Brick((-1,), (3,))])
+    assert chromatic_vjtree(star) == oracle_chromatic(star.realize())
+    assert swept == [Brick((-1,), (3,))]
+    # Joined 0 of degree 3 is a leaf of three bricks: the path 0-1-2, the
+    # edge 0-3 and the star of unjoined 4 with leaves 0, 5 and 6.
+    swept.clear()
+    t = VertexJoinTree(7, ((0, 1), (1, 2), (0, 3), (0, 4), (4, 5), (4, 6)),
+                       {0: 1, 2: 1, 3: 1, 5: 1, 6: 1})
+    assert split_bricks(t) == Bricks(1, [2], [Brick((-1,), (3,))])
+    expected = T * TM1 * TM2 * cycle_quotient(3) * ((TM2**3) + TM1**2)
+    assert chromatic_vjtree(t) == expected == oracle_chromatic(t.realize(), memoize=True)
+    assert swept == [Brick((-1,), (3,))]
+
+
+def test_bricks_match_reference_on_random_corpus():
+    rng = random.Random(1968)
+    compared = 0
+    while compared < 3000:
+        t = random_vjtree(rng, n_max=rng.choice((8, 16, 40)), mult_max=3)
+        p = chromatic_vjtree(t)
+        compared += sweeps_agree(t)
+        if t.n <= 6:
+            assert p == oracle_chromatic(t.realize(), memoize=True)
+
+
+def test_flow_of_triangulated_polygons():
+    # Duals of triangulations are trees of triangles: bricks are mostly
+    # single edges, with branching bricks at the inner triangles.  The
+    # oracle gets the graph in polygon order, where its recursion stays
+    # small on fans and on random triangulations up to about 24
+    # vertices; larger random ones go to the reference sweep.
+    rng = random.Random(2015)
+    for n in range(3, 65):
+        edges = fan_polygon(n)
+        assert flow_outerplanar(shuffle_labels(rng, n, edges)) == oracle_flow(
+            MultiGraph(n, edges), force=True, memoize=True)
+        edges = triangulated_polygon(rng, n)
+        got = flow_outerplanar(shuffle_labels(rng, n, edges))
+        if n <= 20:
+            assert got == oracle_flow(MultiGraph(n, edges), force=True, memoize=True)
+        dual, _ = build_dual(find_outer_cycle(MultiGraph(n, edges)))
+        if n > 3:
+            red = strip_bridges(dual)
+            assert T * got == sweep(build_leveled(red.core), red.core) * TM1**red.b

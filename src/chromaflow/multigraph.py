@@ -12,7 +12,8 @@ creates a loop.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable
 
 from .errors import InvalidEdge, InvalidVertex, SelfContract
 
@@ -93,49 +94,14 @@ class MultiGraph:
     def blocks(self) -> list[tuple[int, ...]]:
         """Sorted edge ids of each biconnected block, as the search closes it.
 
-        Low-link DFS (Hopcroft-Tarjan) over stacked edges, tracking the
-        entering edge by id so a parallel copy of it closes a cycle.
-        Loops belong to no block; a bridge is a block of one edge.
+        One low-link depth-first search (Hopcroft-Tarjan) over a flat CSR
+        view of the graph (offsets plus neighbour and edge-id lists, built
+        by counting sort), walked with integer cursors.  Edges are
+        stacked by id, and the entering edge is tracked by id so that a
+        parallel copy of it closes a cycle.  Loops belong to no block; a
+        bridge is a block of one edge.
         """
-        disc = [-1] * self.n
-        low = [0] * self.n
-        adj = self.adjacency()
-        found: list[tuple[int, ...]] = []
-        edge_stack: list[int] = []
-        timer = 0
-        for root in range(self.n):
-            if disc[root] >= 0:
-                continue
-            disc[root] = low[root] = timer
-            timer += 1
-            # (vertex, entering edge, unseen neighbors, its edge_stack slot)
-            stack: list[tuple[int, int, Iterator[tuple[int, int]], int]] = [
-                (root, -1, iter(adj[root]), 0)
-            ]
-            while stack:
-                v, pe, it, at = stack[-1]
-                for w, eid in it:
-                    if disc[w] < 0:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, eid, iter(adj[w]), len(edge_stack)))
-                        edge_stack.append(eid)
-                        break
-                    # Each back edge is stacked once, from its descendant end.
-                    if eid != pe and disc[w] < disc[v]:
-                        edge_stack.append(eid)
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                else:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        if low[v] < low[p]:
-                            low[p] = low[v]
-                        if low[v] >= disc[p]:
-                            found.append(tuple(sorted(edge_stack[at:])))
-                            del edge_stack[at:]
-        return found
+        return [tuple(sorted(block)) for _, block in _walk_blocks(self, False)[0]]
 
     def bridges(self) -> frozenset[int]:
         """Edge ids whose removal disconnects their component.
@@ -184,3 +150,91 @@ class MultiGraph:
             if a in index and b in index
         ]
         return MultiGraph(len(keep), sub)
+
+
+def _walk_blocks(g: MultiGraph, pairs: bool) -> tuple[list[tuple[list[int], list]], list[int]]:
+    """The blocks of g in closing order, and the vertex at each discovery time.
+
+    A block comes as (times, stacked): the discovery times of its
+    vertices in increasing order, and what its edges stacked, their ids
+    or, with pairs set, the discovery times (a, b), a < b, of their two
+    ends.  With pairs, a block thus comes out already in DFS-discovery
+    labels, with no pass over the graph's own edges afterwards.
+    """
+    n, edges = g.n, g.edges
+    # CSR by counting sort on the endpoints, filled from the last edge
+    # back so that each vertex lists its edges by increasing id and its
+    # cursor ends on its first slot.
+    deg = [0] * n
+    for u, v in edges:
+        if u != v:
+            deg[u] += 1
+            deg[v] += 1
+    stop = list(accumulate(deg))
+    del deg
+    cur = stop[:]
+    nbr = [0] * (stop[-1] if n else 0)
+    ids = nbr[:]
+    e = len(edges)
+    for u, v in reversed(edges):
+        e -= 1
+        if u != v:
+            i = cur[u] - 1
+            cur[u] = i
+            nbr[i] = v
+            ids[i] = e
+            i = cur[v] - 1
+            cur[v] = i
+            nbr[i] = u
+            ids[i] = e
+
+    disc = [-1] * n
+    low = [0] * n
+    order: list[int] = []
+    found: list[tuple[list[int], list]] = []
+    stack: list = []
+    # Discovery times of the vertices entered by the stacked tree edges:
+    # each closed block takes its own off the top, in increasing order.
+    entered: list[int] = []
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        dw = len(order)
+        disc[root] = low[root] = dw
+        order.append(root)
+        # (vertex, its discovery time, entering edge id, its slots on
+        # the edge stack and on entered)
+        path = [(root, dw, -1, 0, 0)]
+        while path:
+            v, dv, pe, at, first = path[-1]
+            i, end = cur[v], stop[v]
+            while i < end:
+                w = nbr[i]
+                e = ids[i]
+                i += 1
+                dw = disc[w]
+                if dw < 0:
+                    cur[v] = i
+                    dw = len(order)
+                    disc[w] = low[w] = dw
+                    order.append(w)
+                    path.append((w, dw, e, len(stack), len(entered)))
+                    stack.append((dv, dw) if pairs else e)
+                    entered.append(dw)
+                    break
+                # Each back edge is stacked once, from its descendant end.
+                if dw < dv and e != pe:
+                    stack.append((dw, dv) if pairs else e)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                path.pop()
+                if path:
+                    p, dp = path[-1][0], path[-1][1]
+                    lv = low[v]
+                    if lv < low[p]:
+                        low[p] = lv
+                    if lv >= dp:
+                        found.append(([dp, *entered[first:]], stack[at:]))
+                        del stack[at:], entered[first:]
+    return found, order

@@ -20,18 +20,27 @@ side iff its ends are adjacent on the cycle, and a chord otherwise.
 Reinsertion, the cycle certificate and the chord laminarity sweep
 reject non-outerplanar inputs deterministically.  flow_outerplanar
 accepts cut vertices; only find_outer_cycle raises NotBiconnected.
+
+flow_outerplanar takes its blocks from one flat block walk
+(multigraph._walk_blocks), which hands each block over in DFS-discovery
+labels: its vertices numbered 0..k-1 in the order the search reached
+them.  Those labels are local: the search reaches an outer cycle mostly
+along the cycle, so neighbouring vertices get neighbouring labels, and
+the certificate and the dual touch their arrays nearly in order rather
+than at the random places shuffled input labels would send them to.
+The polynomial does not depend on the labels.  Error messages name the
+input graph's own vertex ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
-from .multigraph import MultiGraph
-from .polyring import ZERO, IntPoly, linear_power
+from .multigraph import MultiGraph, _walk_blocks
+from .polyring import ZERO, IntPoly, balanced_product, linear_power
 from .vjtree import VertexJoinTree, chromatic_vjtree
 
 Edge = tuple[int, int]
@@ -65,12 +74,12 @@ def find_outer_cycle(g: MultiGraph) -> OuterCycle:
     spans = len(blocks) == 1 and len({x for e in blocks[0] for x in g.edges[e]}) == g.n
     if g.n != 1 and not spans:
         raise NotBiconnected("input is disconnected or has a cut vertex")
-    return _certify(g.n, g.edges)
+    return _certify(g.n, g.edges, range(g.n))
 
 
-def _certify(n: int, edges: Sequence[Edge]) -> OuterCycle:
+def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
     # find_outer_cycle on the normalized edges of a graph on 0..n-1 that
-    # is already known to be biconnected.
+    # is already known to be biconnected; messages call vertex x names[x].
     counts = Counter(edges)
     loops = [e for e in counts if e[0] == e[1]]
     loop_count = sum(counts.pop(e) for e in loops)
@@ -128,7 +137,8 @@ def _certify(n: int, edges: Sequence[Edge]) -> OuterCycle:
         elif nxt[b] == a:
             lo, hi = b, a
         else:
-            raise NotOuterplanar(f"vertex {x} cannot rejoin the cycle between {a} and {b}")
+            raise NotOuterplanar(f"vertex {names[x]} cannot rejoin the cycle between "
+                                 f"{names[a]} and {names[b]}")
         nxt[lo], nxt[x], prv[x], prv[hi] = x, hi, lo, x
 
     step = nxt if nxt[0] <= prv[0] else prv
@@ -149,17 +159,18 @@ def _certify(n: int, edges: Sequence[Edge]) -> OuterCycle:
     if len(counts) - len(chords) != n:
         u, v = next((u, v) for u, v in zip(order, order[1:] + order[:1])
                     if (min(u, v), max(u, v)) not in counts)
-        raise NotOuterplanar(f"cycle side ({u}, {v}) is not an edge")
+        raise NotOuterplanar(f"cycle side ({names[u]}, {names[v]}) is not an edge")
 
     intervals = tuple(sorted(
         ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chords),
         key=lambda ij: (ij[0], -ij[1]),
     ))
-    _reject_crossing_chords(intervals)
+    _reject_crossing_chords(intervals, order, names)
     return OuterCycle(tuple(order), tuple(sorted(chords)), counts, loop_count, intervals)
 
 
-def _reject_crossing_chords(intervals: Sequence[tuple[int, int]]) -> None:
+def _reject_crossing_chords(intervals: Sequence[tuple[int, int]], order: Sequence[int],
+                            names: Sequence[int]) -> None:
     # Chords as polygon index intervals, sorted outer first, must be
     # laminar (nested or disjoint, endpoints may touch).
     stack: list[tuple[int, int]] = []
@@ -167,7 +178,8 @@ def _reject_crossing_chords(intervals: Sequence[tuple[int, int]]) -> None:
         while stack and stack[-1][1] <= i:
             stack.pop()
         if stack and not (stack[-1][0] <= i and j <= stack[-1][1]):
-            raise NotOuterplanar(f"chords {stack[-1]} and {(i, j)} cross")
+            ends = [names[order[x]] for x in (*stack[-1], i, j)]
+            raise NotOuterplanar("chords ({}, {}) and ({}, {}) cross".format(*ends))
         stack.append((i, j))
 
 
@@ -254,24 +266,28 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
     Block by block: a one-edge block (a bridge) kills the flow outright,
     isolated vertices are inert, loops factor out (t - 1) each, and
     every other block goes through its dual: F = P(dual) / t per block,
-    which is P(dual) with its zero constant term dropped.
+    which is P(dual) with its zero constant term dropped.  All factors
+    meet in one balanced product.
     """
-    blocks = g.blocks()
-    if any(len(block) == 1 for block in blocks):
+    blocks, order = _walk_blocks(g, True)
+    if any(len(pairs) == 1 for _, pairs in blocks):
         return ZERO
-    result = linear_power(1, sum(1 for u, v in g.edges if u == v))
-    for block in blocks:
-        dual, _ = build_dual(_certify(*_block_graph(g, block)))
-        result = result * IntPoly(chromatic_vjtree(dual).coeffs[1:])
-    return result
-
-
-def _block_graph(g: MultiGraph, block: tuple[int, ...]) -> tuple[int, list[Edge]]:
-    # The block's vertex count and edges, renumbered 0..k-1 in sorted
-    # order.  Renumbering keeps u <= v, so the edges stay normalized.
-    edges = [g.edges[e] for e in block]
-    vertices = set(chain.from_iterable(edges))
-    if len(vertices) == g.n:
-        return g.n, edges
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    return len(index), [(index[u], index[v]) for u, v in edges]
+    # Every edge but a loop lies in exactly one block.
+    loops = g.m - sum(len(pairs) for _, pairs in blocks)
+    factors = [linear_power(1, loops)] if loops else []
+    label = [0] * g.n
+    for times, pairs in blocks:
+        # Compact the block's discovery times to 0..k-1, in order, with
+        # one table; a block of the first k vertices discovered, such as
+        # one spanning the graph, has them already.
+        k = len(times)
+        if times[-1] == k - 1:
+            edges, names = pairs, order
+        else:
+            for i, d in enumerate(times):
+                label[d] = i
+            edges = [(label[a], label[b]) for a, b in pairs]
+            names = [order[d] for d in times]
+        dual, _ = build_dual(_certify(k, edges, names))
+        factors.append(IntPoly(chromatic_vjtree(dual).coeffs[1:]))
+    return balanced_product(factors)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromaflow.errors import InvalidEdge, InvalidVertex, SelfContract
+from chromaflow.generators import (fan_polygon, random_outerplanar, shuffle_labels,
+                                   triangulated_polygon)
 from chromaflow.multigraph import MultiGraph
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -181,3 +185,97 @@ def test_cycle_edges_are_never_bridges(g):
     # add a parallel copy of every edge: every edge now lies on a 2-cycle
     doubled = MultiGraph(g.n, list(g.edges) + list(g.edges))
     assert doubled.bridges() == frozenset()
+
+
+def _iterator_blocks(g):
+    # The low-link walk blocks() ran before the CSR walk: per-vertex
+    # lists of (neighbor, edge id) tuples, one iterator per stacked
+    # vertex.  Kept as the reference the CSR walk must match exactly.
+    disc = [-1] * g.n
+    low = [0] * g.n
+    adj = g.adjacency()
+    found = []
+    edge_stack = []
+    timer = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(adj[root]), 0)]
+        while stack:
+            v, pe, it, at = stack[-1]
+            for w, eid in it:
+                if disc[w] < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, eid, iter(adj[w]), len(edge_stack)))
+                    edge_stack.append(eid)
+                    break
+                if eid != pe and disc[w] < disc[v]:
+                    edge_stack.append(eid)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        found.append(tuple(sorted(edge_stack[at:])))
+                        del edge_stack[at:]
+    return found
+
+
+def _glued(rng, parts):
+    # Disjoint union of edge lists, each glued at one vertex to what
+    # came before with probability 1/2 (a cut vertex), plus a pendant
+    # edge (a bridge), loops and an isolated vertex now and then.
+    edges, n = [], 0
+    for part in parts:
+        size = 1 + max(max(e) for e in part)
+        at = rng.randrange(n) if n and rng.random() < 0.5 else None
+        if at is None:
+            edges += [(u + n, v + n) for u, v in part]
+            n += size
+        else:
+            remap = lambda x: at if x == 0 else x - 1 + n
+            edges += [(remap(u), remap(v)) for u, v in part]
+            n += size - 1
+    if rng.random() < 0.3:
+        edges.append((rng.randrange(n), n))
+        n += 1
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randrange(n)
+        edges.append((v, v))
+    n += rng.random() < 0.3
+    return shuffle_labels(rng, n, edges)
+
+
+def _outerplanar_corpus(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            yield random_outerplanar(rng, n_max=rng.choice([6, 12, 40]), max_loops=3,
+                                     p_glued=0.5, with_bridge=rng.random() < 0.3, max_edges=200)
+        else:
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                size = rng.randint(3, 60)
+                part = triangulated_polygon(rng, size) if kind == 1 else fan_polygon(size)
+                parts.append(part + rng.sample(part, rng.randint(0, 2)))
+            yield _glued(rng, parts)
+
+
+def test_blocks_match_iterator_walk():
+    # Same blocks, same edge ids and the same closing order as the walk
+    # they replace, on shuffled outerplanar multigraphs with loops,
+    # isolated vertices, cut vertices and bridges.
+    seen = 0
+    for g in _outerplanar_corpus(2024, 1200):
+        blocks = g.blocks()
+        assert blocks == _iterator_blocks(g)
+        seen += len(blocks)
+    assert seen > 3000

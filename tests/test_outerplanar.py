@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromaflow.errors import NotBiconnected, NotOuterplanar
-from chromaflow.generators import random_outerplanar, random_outerplanar_block
+from chromaflow.generators import (fan_polygon, random_outerplanar, random_outerplanar_block,
+                                   shuffle_labels, triangulated_polygon)
 from chromaflow.multigraph import MultiGraph
 from chromaflow.oracle import oracle_flow
-from chromaflow.outerplanar import build_dual, find_outer_cycle, flow_outerplanar
-from chromaflow.polyring import IntPoly, T, ZERO
+from chromaflow.outerplanar import (_certify, _reject_crossing_chords, build_dual,
+                                    find_outer_cycle, flow_outerplanar)
+from chromaflow.polyring import IntPoly, T, ZERO, linear_power
 from chromaflow.vjtree import chromatic_vjtree
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -207,3 +210,127 @@ def test_simple_dual_degrees(seed):
     for v in range(dual.n):
         assert tree_deg[v] + dual.mult.get(v, 0) >= 3
     assert sum(dual.mult.values()) >= 3
+
+
+def _block_graph(g, block):
+    # The block's vertex count and edges, renumbered 0..k-1 in sorted
+    # order, as flow_outerplanar built them before blocks came in
+    # discovery labels.
+    edges = [g.edges[e] for e in block]
+    vertices = sorted({x for e in edges for x in e})
+    if len(vertices) == g.n:
+        return g.n, edges
+    index = {v: i for i, v in enumerate(vertices)}
+    return len(index), [(index[u], index[v]) for u, v in edges]
+
+
+def _sorted_label_flow(g):
+    # flow_outerplanar's route before discovery labels: blocks() by edge
+    # id, each block renumbered in sorted order, one multiply per block.
+    blocks = g.blocks()
+    if any(len(block) == 1 for block in blocks):
+        return ZERO
+    result = linear_power(1, sum(1 for u, v in g.edges if u == v))
+    for block in blocks:
+        n, edges = _block_graph(g, block)
+        dual, _ = build_dual(_certify(n, edges, range(n)))
+        result = result * IntPoly(chromatic_vjtree(dual).coeffs[1:])
+    return result
+
+
+def _part(rng):
+    # One block: outerplanar most of the time, else a triangulated
+    # polygon with one more chord (which must cross one) or a
+    # subdivided K_{2,3}.
+    kind = rng.randrange(10)
+    size = rng.randint(3, 24)
+    if kind < 4:
+        return random_outerplanar_block(rng, n_max=24, mult_max=3)
+    if kind < 6:
+        return triangulated_polygon(rng, size) + [(0, 1)] * rng.randint(0, 1)
+    if kind < 8:
+        return fan_polygon(size) + [(0, size - 1)] * rng.randint(0, 2)
+    if kind == 8 and size >= 4:
+        edges = triangulated_polygon(rng, size)
+        present = {(min(e), max(e)) for e in edges}
+        missing = [(i, j) for i in range(size) for j in range(i + 2, size) if (i, j) not in present]
+        return edges + [rng.choice(missing)]
+    # K_{2,3} with each of its three paths between 0 and 1 subdivided.
+    edges, n = [], 2
+    for _ in range(3):
+        inner = list(range(n, n + rng.randint(1, 3)))
+        n += len(inner)
+        path = [0, *inner, 1]
+        edges += list(zip(path, path[1:]))
+    return edges
+
+
+def _mixed_graph(rng):
+    # Blocks glued at cut vertices or set apart, with loops, isolated
+    # vertices and now and then a bridge; labels and edges shuffled.
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        part = _part(rng)
+        size = 1 + max(max(e) for e in part)
+        if n and rng.random() < 0.6:
+            at = rng.randrange(n)
+            edges += [(at if u == 0 else u - 1 + n, at if v == 0 else v - 1 + n) for u, v in part]
+            n += size - 1
+        else:
+            edges += [(u + n, v + n) for u, v in part]
+            n += size
+    if rng.random() < 0.1:
+        edges.append((rng.randrange(n), n))
+        n += 1
+    for _ in range(rng.randint(0, 2)):
+        v = rng.randrange(n)
+        edges.append((v, v))
+    n += rng.randint(0, 2)
+    return shuffle_labels(rng, n, edges)
+
+
+def test_discovery_labels_match_sorted_labels():
+    # flow_outerplanar certifies each block in DFS-discovery labels; the
+    # polynomial, or the class of the rejection, must not depend on it.
+    rng = random.Random(31415)
+    blocks = rejected = 0
+    for _ in range(2500):
+        g = _mixed_graph(rng)
+        blocks += len(g.blocks())
+        try:
+            expect = _sorted_label_flow(g)
+        except NotOuterplanar as exc:
+            rejected += 1
+            with pytest.raises(type(exc)):
+                flow_outerplanar(g)
+            continue
+        assert flow_outerplanar(g) == expect
+    assert blocks >= 6000
+    assert 300 <= rejected <= 1500
+
+
+def test_not_outerplanar_names_input_vertices():
+    # Messages name the graph's own vertex ids, whatever labels the
+    # block was certified in.
+    rng = random.Random(7)
+    named_any = 0
+    for _ in range(300):
+        g = _mixed_graph(rng)
+        try:
+            flow_outerplanar(g)
+        except NotOuterplanar as exc:
+            named = [int(x) for x in re.findall(r"(?<![\w-])\d+", str(exc))]
+            used = {x for u, v in g.edges if u != v for x in (u, v)}
+            assert all(x in used for x in named)
+            named_any += bool(named)
+    assert named_any >= 10
+    # K_{2,3} with its degree-3 vertices at 6 and 2 and three paths
+    # through 0, 4 and 3-5: vertex 0, 4 or 3 cannot rejoin.
+    k23 = MultiGraph(7, [(6, 0), (0, 2), (6, 4), (4, 2), (6, 3), (3, 5), (5, 2), (1, 1)])
+    with pytest.raises(NotOuterplanar, match=r"^vertex [0345] cannot rejoin the cycle between "
+                                             r"[0-6] and [0-6]$"):
+        flow_outerplanar(k23)
+    # The crossing-chord message names the chords' end vertices, not
+    # their positions on the cycle.
+    with pytest.raises(NotOuterplanar, match=r"^chords \(40, 20\) and \(30, 10\) cross$"):
+        _reject_crossing_chords(((0, 2), (1, 3)), (4, 3, 2, 1), [0, 10, 20, 30, 40])

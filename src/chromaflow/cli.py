@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 
-from .errors import ChromaflowError, InvalidSize, ParseError
+from .errors import ChromaflowError, InvalidSize, InvalidVertex, ParseError
 from .multigraph import MultiGraph
 from .oracle import oracle_chromatic, oracle_flow
 from .outerplanar import flow_outerplanar
@@ -75,20 +75,30 @@ def _int_list(text: str, what: str, to_int=int) -> list[int]:
 
 
 def _lines(path: str):
-    # (line number, text) of each non-blank line of a UTF-8 file, with
-    # `#` comments cut off.
+    # (line number, text, tokens) of each non-blank line of a UTF-8
+    # file, with `#` comments cut off; the text is for error messages.
+    # A text-mode read turns \r\n and \r into \n, so lines break where
+    # iterating over the file breaks them; str.splitlines() would also
+    # break at \x0b, \x1c, \x85, U+2028 and more.
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}")
-    with fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield lineno, line
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not UTF-8 text")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text")
+    comments = "#" in text
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if comments:
+            line = line.split("#", 1)[0]
+        tok = line.split()
+        if tok:
+            yield lineno, line, tok
+
+
+def _outside(path: str, lineno: int, n: int, *ids: int) -> ParseError:
+    bad = next(v for v in ids if not 0 < v <= n)
+    return ParseError(f"{path}:{lineno}: vertex {bad} outside 1..{n}")
 
 
 def parse_vjt_file(path: str) -> VertexJoinTree:
@@ -100,22 +110,26 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
     n = None
     edges: list[tuple[int, int]] = []
     mult: dict[int, int] = {}
-    for lineno, line in _lines(path):
-        tok = line.split()
+    for lineno, line, tok in _lines(path):
         try:
-            if tok[0] == "vjt" and len(tok) == 2 and n is None:
-                n = int(tok[1])
-            elif tok[0] == "edge" and len(tok) == 3 and n is not None:
-                edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
+            if tok[0] == "edge" and len(tok) == 3 and n is not None:
+                u, v = int(tok[1]), int(tok[2])
+                if not (0 < u <= n and 0 < v <= n):
+                    raise _outside(path, lineno, n, u, v)
+                edges.append((u - 1, v - 1))
             elif tok[0] == "join" and len(tok) == 3 and n is not None:
-                v, m = int(tok[1]) - 1, _to_int(tok[2])
+                v, m = int(tok[1]), _to_int(tok[2])
                 if m < 1:
                     raise ParseError(f"{path}:{lineno}: join multiplicity must be >= 1")
-                mult[v] = mult.get(v, 0) + m
+                if not 0 < v <= n:
+                    raise _outside(path, lineno, n, v)
+                mult[v - 1] = mult.get(v - 1, 0) + m
+            elif tok[0] == "vjt" and len(tok) == 2 and n is None:
+                n = int(tok[1])
             else:
-                raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
+                raise ParseError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
+            raise ParseError(f"{path}:{lineno}: bad integer in {line.strip()!r}")
     if n is None:
         raise ParseError(f"{path}: missing 'vjt <n>' header")
     if len(edges) != n - 1:
@@ -128,25 +142,26 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
 
 def parse_gr_file(path: str) -> MultiGraph:
     """DIMACS-like: `p edge n m` header then m `e u v` lines, 1-indexed."""
-    header = None
+    n = m = None
     edges: list[tuple[int, int]] = []
-    for lineno, line in _lines(path):
-        tok = line.split()
+    for lineno, line, tok in _lines(path):
         try:
-            if tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and header is None:
-                header = (int(tok[2]), int(tok[3]))
-                if header[0] > MAX_GR_VERTICES:
+            if tok[0] == "e" and len(tok) == 3 and n is not None:
+                u, v = int(tok[1]), int(tok[2])
+                if not (0 < u <= n and 0 < v <= n):
+                    raise _outside(path, lineno, n, u, v)
+                edges.append((u - 1, v - 1))
+            elif tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and n is None:
+                n, m = int(tok[2]), int(tok[3])
+                if n > MAX_GR_VERTICES:
                     raise ParseError(
-                        f"{path}:{lineno}: {header[0]} vertices exceeds the limit {MAX_GR_VERTICES}")
-            elif tok[0] == "e" and len(tok) == 3 and header is not None:
-                edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
+                        f"{path}:{lineno}: {n} vertices exceeds the limit {MAX_GR_VERTICES}")
             else:
-                raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
+                raise ParseError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
-    if header is None:
+            raise ParseError(f"{path}:{lineno}: bad integer in {line.strip()!r}")
+    if n is None:
         raise ParseError(f"{path}: missing 'p edge <n> <m>' header")
-    n, m = header
     if len(edges) != m:
         raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
     try:
@@ -161,10 +176,17 @@ def format_poly(p: IntPoly) -> str:
     return "poly " + " ".join(_digits(c) for c in p.coeffs)
 
 
-_PARSER = None
+# The tree parser and its leaf table, built on the first run.
+_PARSERS = None
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
+    """The command tree and a table from (command, subcommand) to its leaf.
+
+    A leaf parses the same arguments the tree would hand it and sets
+    the command names the tree would, so a call that names a leaf up
+    front parses in one argparse pass instead of three.
+    """
     parser = _Parser(prog="chromaflow", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--eval", dest="eval_points", metavar="t1,t2,...",
@@ -205,7 +227,24 @@ def _build_parser() -> _Parser:
         p.add_argument("--force", action="store_true",
                        help="override the size guard (may take very long)")
 
-    return parser
+    leaves = {}
+    for command, action in (("chromatic", csub), ("flow", fsub), ("dual", dsub), ("oracle", osub)):
+        for name, leaf in action.choices.items():
+            leaf.set_defaults(command=command, subcommand=name)
+            leaves[command, name] = leaf
+    return parser, leaves
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    global _PARSERS
+    if _PARSERS is None:
+        _PARSERS = _build_parser()
+    parser, leaves = _PARSERS
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        # -h above the leaves, unknown commands and usage errors there.
+        return parser.parse_args(argv)
+    return leaf.parse_args(argv[2:])
 
 
 def _phi_arg(text: str) -> PhiString:
@@ -231,6 +270,8 @@ def _dispatch(args) -> list[str]:
             raise InvalidSize(f"clique of {args.n} vertices exceeds the limit {MAX_CLIQUE_N}")
         mult: dict[int, int] = {}
         for v in _int_list(args.join, "--join"):
+            if not 0 < v <= args.n:
+                raise InvalidVertex(f"joined vertex {v} outside 1..{args.n}")
             mult[v - 1] = mult.get(v - 1, 0) + 1
         poly = chromatic_clique_join(args.n, mult)
     elif cmd == ("chromatic", "wheel"):
@@ -261,12 +302,8 @@ def _dispatch(args) -> list[str]:
 
 def run(argv: list[str]) -> int:
     """Execute one command line; returns the exit code."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
     try:
-        args = _PARSER.parse_args(argv)
-        for line in _dispatch(args):
+        for line in _dispatch(_parse(argv)):
             print(line)
         return 0
     except SystemExit as exc:

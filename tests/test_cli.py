@@ -157,6 +157,28 @@ def test_not_outerplanar_exit_1(tmp_path, capsys):
     assert err.startswith("error: NotOuterplanar: ")
 
 
+def test_join_errors_name_the_typed_vertex(capsys):
+    for join in ("6", "1,6", "0"):
+        code, out, err = invoke(capsys, "chromatic", "clique", "--n", "5", "--join", join)
+        assert code == 1 and out == ""
+        assert err == f"error: InvalidVertex: joined vertex {join[-1]} outside 1..5\n"
+
+
+def test_file_vertices_outside_the_header(tmp_path, capsys):
+    cases = [
+        ("t.vjt", "vjt 3\nedge 1 2\nedge 2 4\n", ("chromatic", "tree"), 3, 4),
+        ("j.vjt", "vjt 3\nedge 1 2\nedge 2 3\n# the apex\njoin 5 1\n", ("chromatic", "tree"), 5, 5),
+        ("z.vjt", "vjt 3\nedge 1 2\nedge 0 3\n", ("chromatic", "tree"), 3, 0),
+        ("e.gr", "p edge 3 2\ne 1 2\ne 0 3\n", ("flow", "outerplanar"), 3, 0),
+        ("f.gr", "p edge 3 2\r\ne 1 2\r\ne 3 4\r\n", ("oracle", "flow"), 3, 4),
+    ]
+    for name, text, command, lineno, vertex in cases:
+        path = write(tmp_path, name, text)
+        code, out, err = invoke(capsys, *command, path)
+        assert code == 2 and out == ""
+        assert err == f"error: ParseError: {path}:{lineno}: vertex {vertex} outside 1..3\n"
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     code, _, err = invoke(capsys, "chromatic", "wheel", "--phi", "1,x")
     assert code == 2 and err.startswith("error: ParseError: ")

@@ -26,11 +26,23 @@ tree of triangles, mostly joined, with unjoined inner triangles where
 it branches.  --family fan does the same on fan-triangulated polygons,
 whose dual is a path of joined triangles.  Their rows are those of
 tree, with the largest coefficient of the flow polynomial.
+
+--json also writes the rows to BENCH_scaling-<family>.json in the
+current directory, or BENCH_scaling-<family>-<label>.json with
+--label: one row per size with n, the best seconds, the ratio to the
+previous row (null on the first) and the maximum coefficient bits
+(null for outerplanar), next to the machine, its CPU count, the
+Python version, the seed and the repeat count.  The package is
+imported as Python finds it, so PYTHONPATH=<checkout>/src times
+another checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import random
 import time
 
@@ -100,6 +112,9 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
                     help="runs per size; fastest is reported")
+    ap.add_argument("--json", action="store_true",
+                    help="also write the rows to BENCH_scaling-<family>[-<label>].json")
+    ap.add_argument("--label", help="suffix of the --json file name")
     args = ap.parse_args()
     sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
     make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon,
@@ -111,6 +126,7 @@ def main() -> None:
     rng = random.Random(args.seed)
     print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else ""))
     prev = None
+    rows = []
     for n in sizes:
         instance = make(rng, n)
         best = float("inf")
@@ -119,10 +135,26 @@ def main() -> None:
             t0 = time.perf_counter()
             poly = compute(instance)
             best = min(best, time.perf_counter() - t0)
-        ratio = f"{best / prev:7.2f}" if prev else f"{'-':>7}"
-        bits = f" {max(abs(c).bit_length() for c in poly.coeffs):>15}" if show_bits else ""
-        print(f"{n:>8} {best:>10.3f} {ratio}{bits}")
+        ratio = best / prev if prev else None
+        bits = max(abs(c).bit_length() for c in poly.coeffs) if show_bits else None
+        print(f"{n:>8} {best:>10.3f} " + (f"{ratio:7.2f}" if prev else f"{'-':>7}")
+              + (f" {bits:>15}" if show_bits else ""))
+        rows.append({"n": n, "seconds": best, "ratio": ratio, "max_coeff_bits": bits})
         prev = best
+
+    if args.json:
+        name = f"BENCH_scaling-{args.family}" + (f"-{args.label}" if args.label else "") + ".json"
+        summary = {
+            "family": args.family,
+            "seed": args.seed,
+            "repeat": args.repeat,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "rows": rows,
+        }
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(summary, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 
-from .errors import ChromaflowError, InvalidSize, InvalidVertex, ParseError
+from .errors import ChromaflowError, InvalidSize, InvalidVertex, NotOuterplanar, ParseError
 from .multigraph import MultiGraph
 from .oracle import oracle_chromatic, oracle_flow
 from .outerplanar import flow_outerplanar
@@ -126,6 +126,8 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
                 mult[v - 1] = mult.get(v - 1, 0) + m
             elif tok[0] == "vjt" and len(tok) == 2 and n is None:
                 n = int(tok[1])
+                if n < 1:
+                    raise ParseError(f"{path}:{lineno}: vertex count must be at least 1, got {n}")
             else:
                 raise ParseError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
         except ValueError:
@@ -153,6 +155,10 @@ def parse_gr_file(path: str) -> MultiGraph:
                 edges.append((u - 1, v - 1))
             elif tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and n is None:
                 n, m = int(tok[2]), int(tok[3])
+                if n < 0:
+                    raise ParseError(f"{path}:{lineno}: vertex count must be nonnegative, got {n}")
+                if m < 0:
+                    raise ParseError(f"{path}:{lineno}: edge count must be nonnegative, got {m}")
                 if n > MAX_GR_VERTICES:
                     raise ParseError(
                         f"{path}:{lineno}: {n} vertices exceeds the limit {MAX_GR_VERTICES}")
@@ -280,7 +286,11 @@ def _dispatch(args) -> list[str]:
             raise InvalidSize(f"phi string of {phi.n} entries exceeds the limit {MAX_PHI_LENGTH}")
         poly = chromatic_wheel(phi)
     elif cmd == ("flow", "outerplanar"):
-        poly = flow_outerplanar(parse_gr_file(args.file))
+        try:
+            poly = flow_outerplanar(parse_gr_file(args.file))
+        except NotOuterplanar as exc:
+            # Name the vertices as the file numbers them, from 1.
+            raise NotOuterplanar(exc.template, *(v + 1 for v in exc.vertices)) from None
     elif cmd == ("flow", "wheel"):
         poly = flow_wheel(_dual_phi_arg(args.phi))
     elif cmd == ("dual", "phi"):

@@ -21,7 +21,28 @@ Reinsertion, the cycle certificate and the chord laminarity sweep
 reject non-outerplanar inputs deterministically.  flow_outerplanar
 accepts cut vertices; only find_outer_cycle raises NotBiconnected.
 
-flow_outerplanar takes its blocks from one flat block walk
+flow_outerplanar first shortens every maximal path of degree-2
+vertices (loops not counted) to a path with one inner vertex, and works
+on that smaller graph H.  Two facts make this exact:
+
+- The flow polynomial does not change.  Deletion-contraction gives
+  F(G) = F(G/e) - F(G-e), and when e meets a degree-2 vertex the other
+  edge there is a bridge of G-e, so F(G-e) = 0 and F(G) = F(G/e).
+  Loops and components that are one cycle give (t - 1) each and are
+  dropped, and isolated vertices are inert.  A path from a back to a
+  stays the digon a-x-a rather than a loop, and a path ending at a
+  degree-1 vertex keeps it, so the bridge there still gives zero.
+- Outerplanarity does not change.  H is a minor of G, so H is
+  outerplanar when G is.  Conversely, in an outerplanar embedding both
+  edges at a degree-2 vertex lie on the outer face, so subdividing them
+  again keeps H's embedding outerplanar.  H has a bridge exactly when
+  G has one, so a zero flow still takes precedence over a rejection.
+
+On long polygons, where nearly every vertex has degree 2, H is a small
+fraction of G.  When no path has two or more inner vertices, as in fans
+and triangulations, H is G itself and no copy is made.
+
+flow_outerplanar takes H's blocks from one flat block walk
 (multigraph._walk_blocks), which hands each block over in DFS-discovery
 labels: its vertices numbered 0..k-1 in the order the search reached
 them.  Those labels are local: the search reaches an outer cycle mostly
@@ -29,7 +50,7 @@ along the cycle, so neighbouring vertices get neighbouring labels, and
 the certificate and the dual touch their arrays nearly in order rather
 than at the random places shuffled input labels would send them to.
 The polynomial does not depend on the labels.  Error messages name the
-input graph's own vertex ids.
+input graph's own vertex ids, mapped back from H's once per call.
 """
 
 from __future__ import annotations
@@ -137,8 +158,8 @@ def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
         elif nxt[b] == a:
             lo, hi = b, a
         else:
-            raise NotOuterplanar(f"vertex {names[x]} cannot rejoin the cycle between "
-                                 f"{names[a]} and {names[b]}")
+            raise NotOuterplanar("vertex {} cannot rejoin the cycle between {} and {}",
+                                 names[x], names[a], names[b])
         nxt[lo], nxt[x], prv[x], prv[hi] = x, hi, lo, x
 
     step = nxt if nxt[0] <= prv[0] else prv
@@ -159,7 +180,7 @@ def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
     if len(counts) - len(chords) != n:
         u, v = next((u, v) for u, v in zip(order, order[1:] + order[:1])
                     if (min(u, v), max(u, v)) not in counts)
-        raise NotOuterplanar(f"cycle side ({names[u]}, {names[v]}) is not an edge")
+        raise NotOuterplanar("cycle side ({}, {}) is not an edge", names[u], names[v])
 
     intervals = tuple(sorted(
         ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chords),
@@ -179,7 +200,7 @@ def _reject_crossing_chords(intervals: Sequence[tuple[int, int]], order: Sequenc
             stack.pop()
         if stack and not (stack[-1][0] <= i and j <= stack[-1][1]):
             ends = [names[order[x]] for x in (*stack[-1], i, j)]
-            raise NotOuterplanar("chords ({}, {}) and ({}, {}) cross".format(*ends))
+            raise NotOuterplanar("chords ({}, {}) and ({}, {}) cross", *ends)
         stack.append((i, j))
 
 
@@ -260,34 +281,111 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
     return VertexJoinTree(total, tuple(dual_edges), mult), oc.loop_count
 
 
+def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
+    """g with every path of degree-2 vertices shortened to one inner vertex.
+
+    Returns (h, names, ones): vertex x of h is vertex names[x] of g, and
+    ones counts the (t - 1) factors of what h leaves out, g's loops and
+    its components that are one cycle.  Loops do not count toward
+    degree, and isolated vertices are dropped.  A path is kept as its
+    first inner vertex, so one that leaves a and returns to a becomes
+    the digon a-x-a, and one that ends at a degree-1 vertex keeps it.
+    When no path has two or more inner vertices, h is g itself, names
+    is None and ones is 0.
+    """
+    n, edges = g.n, g.edges
+    deg = [0] * n
+    for u, v in edges:
+        if u != v:
+            deg[u] += 1
+            deg[v] += 1
+    for u, v in edges:
+        if deg[u] == 2 == deg[v] and u != v:
+            break
+    else:
+        return g, None, 0
+
+    # A vertex of degree 2 entered from one neighbour leaves by the sum
+    # of its neighbours less that one.
+    nsum = [0] * n
+    for u, v in edges:
+        if u != v:
+            nsum[u] += v
+            nsum[v] += u
+    names = [v for v, d in enumerate(deg) if d and d != 2]
+    label = [0] * n
+    for x, v in enumerate(names):
+        label[v] = x
+    seen = bytearray(n)
+    kept: list[Edge] = []
+    for u, v in edges:
+        if deg[u] != 2:
+            if deg[v] != 2:
+                if u != v:
+                    kept.append((label[u], label[v]))
+                continue
+            a, x = u, v
+        elif deg[v] != 2:
+            a, x = v, u
+        else:
+            continue
+        if seen[x]:
+            continue
+        # Walk the path from its end a to its other end b, and keep x.
+        prev, b = a, x
+        while deg[b] == 2:
+            seen[b] = 1
+            prev, b = b, nsum[b] - prev
+        kept.append((label[a], len(names)))
+        kept.append((len(names), label[b]))
+        names.append(x)
+
+    # g's loops, and its components that are one cycle: whatever no
+    # walk reached lies on one.
+    ones = len(edges) - sum(deg) // 2
+    if seen.count(1) < deg.count(2):
+        for u, v in edges:
+            if u != v and deg[u] == 2 and not seen[u]:
+                ones += 1
+                prev, x = v, u
+                while not seen[x]:
+                    seen[x] = 1
+                    prev, x = x, nsum[x] - prev
+    return MultiGraph(len(names), kept), names, ones
+
+
 def flow_outerplanar(g: MultiGraph) -> IntPoly:
     """Flow polynomial of an outerplanar multigraph, exactly.
 
-    Block by block: a one-edge block (a bridge) kills the flow outright,
-    isolated vertices are inert, loops factor out (t - 1) each, and
-    every other block goes through its dual: F = P(dual) / t per block,
-    which is P(dual) with its zero constant term dropped.  All factors
-    meet in one balanced product.
+    Paths of degree-2 vertices are first shortened to one inner vertex
+    each (_shorten).  Then block by block: a one-edge block (a bridge)
+    kills the flow outright, isolated vertices are inert, loops factor
+    out (t - 1) each, and every other block goes through its dual:
+    F = P(dual) / t per block, which is P(dual) with its zero constant
+    term dropped.  All factors meet in one balanced product.
     """
-    blocks, order = _walk_blocks(g, True)
+    h, names, ones = _shorten(g)
+    blocks, order = _walk_blocks(h, True)
     if any(len(pairs) == 1 for _, pairs in blocks):
         return ZERO
+    if names is not None:
+        order = [names[v] for v in order]
     # Every edge but a loop lies in exactly one block.
-    loops = g.m - sum(len(pairs) for _, pairs in blocks)
-    factors = [linear_power(1, loops)] if loops else []
-    label = [0] * g.n
+    ones += h.m - sum(len(pairs) for _, pairs in blocks)
+    factors = [linear_power(1, ones)] if ones else []
+    label = [0] * h.n
     for times, pairs in blocks:
         # Compact the block's discovery times to 0..k-1, in order, with
         # one table; a block of the first k vertices discovered, such as
         # one spanning the graph, has them already.
         k = len(times)
         if times[-1] == k - 1:
-            edges, names = pairs, order
+            edges, ids = pairs, order
         else:
             for i, d in enumerate(times):
                 label[d] = i
             edges = [(label[a], label[b]) for a, b in pairs]
-            names = [order[d] for d in times]
-        dual, _ = build_dual(_certify(k, edges, names))
+            ids = [order[d] for d in times]
+        dual, _ = build_dual(_certify(k, edges, ids))
         factors.append(IntPoly(chromatic_vjtree(dual).coeffs[1:]))
     return balanced_product(factors)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -11,7 +13,8 @@ import pytest
 import chromaflow.cli as cli
 import chromaflow.wheels as wheels
 from chromaflow.cli import format_poly, parse_gr_file, parse_vjt_file, run
-from chromaflow.errors import ParseError
+from chromaflow.errors import NotOuterplanar, ParseError
+from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.polyring import IntPoly, ZERO
 from chromaflow.wheels import PhiString
 
@@ -155,6 +158,47 @@ def test_not_outerplanar_exit_1(tmp_path, capsys):
     code, out, err = invoke(capsys, "flow", "outerplanar", path)
     assert code == 1
     assert err.startswith("error: NotOuterplanar: ")
+
+
+def test_not_outerplanar_names_file_vertices(tmp_path, capsys):
+    # K_{2,3} with its vertices shuffled: the message names a vertex of
+    # degree 2 rejoining between the two of degree 3, as the file
+    # numbers them.  The library's own ids are one less.
+    rng = random.Random(23)
+    for i in range(12):
+        ids = rng.sample(range(1, 6), 5)
+        hubs, rest = ids[:2], ids[2:]
+        lines = [f"e {a} {b}" if rng.random() < 0.5 else f"e {b} {a}" for a in hubs for b in rest]
+        rng.shuffle(lines)
+        path = write(tmp_path, f"k23-{i}.gr", "\n".join(["p edge 5 6", *lines]) + "\n")
+        code, out, err = invoke(capsys, "flow", "outerplanar", path)
+        assert code == 1 and out == ""
+        match = re.fullmatch(r"error: NotOuterplanar: vertex (\d) cannot rejoin the cycle "
+                             r"between (\d) and (\d)\n", err)
+        assert match, err
+        x, a, b = map(int, match.groups())
+        assert x in rest and {a, b} == set(hubs)
+        with pytest.raises(NotOuterplanar, match=f"^vertex {x - 1} cannot rejoin the cycle "
+                                                 f"between {a - 1} and {b - 1}$"):
+            flow_outerplanar(parse_gr_file(path))
+
+
+def test_bad_header_counts_fail_at_the_header(tmp_path, capsys):
+    cases = [
+        ("zero.vjt", "vjt 0\n", ("chromatic", "tree"), 1, "vertex count must be at least 1, got 0"),
+        ("neg.vjt", "# empty\nvjt -3\n", ("chromatic", "tree"), 2,
+         "vertex count must be at least 1, got -3"),
+        ("m.gr", "p edge 3 -1\n", ("flow", "outerplanar"), 1,
+         "edge count must be nonnegative, got -1"),
+        ("n.gr", "p edge -1 0\n", ("oracle", "flow"), 1, "vertex count must be nonnegative, got -1"),
+        ("nm.gr", "\np edge -2 -1\ne 1 2\n", ("flow", "outerplanar"), 2,
+         "vertex count must be nonnegative, got -2"),
+    ]
+    for name, text, command, lineno, detail in cases:
+        path = write(tmp_path, name, text)
+        code, out, err = invoke(capsys, *command, path)
+        assert code == 2 and out == ""
+        assert err == f"error: ParseError: {path}:{lineno}: {detail}\n"
 
 
 def test_join_errors_name_the_typed_vertex(capsys):

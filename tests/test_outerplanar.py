@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 from chromaflow.errors import NotBiconnected, NotOuterplanar
 from chromaflow.generators import (fan_polygon, random_outerplanar, random_outerplanar_block,
                                    shuffle_labels, triangulated_polygon)
-from chromaflow.multigraph import MultiGraph
+from chromaflow.multigraph import MultiGraph, _walk_blocks
 from chromaflow.oracle import oracle_flow
-from chromaflow.outerplanar import (_certify, _reject_crossing_chords, build_dual,
+from chromaflow.outerplanar import (_certify, _reject_crossing_chords, _shorten, build_dual,
                                     find_outer_cycle, flow_outerplanar)
-from chromaflow.polyring import IntPoly, T, ZERO, linear_power
+from chromaflow.polyring import IntPoly, T, ZERO, balanced_product, linear_power
 from chromaflow.vjtree import chromatic_vjtree
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -265,12 +267,12 @@ def _part(rng):
     return edges
 
 
-def _mixed_graph(rng):
+def _mixed_graph(rng, make_part=_part):
     # Blocks glued at cut vertices or set apart, with loops, isolated
     # vertices and now and then a bridge; labels and edges shuffled.
     edges, n = [], 0
     for _ in range(rng.randint(1, 4)):
-        part = _part(rng)
+        part = make_part(rng)
         size = 1 + max(max(e) for e in part)
         if n and rng.random() < 0.6:
             at = rng.randrange(n)
@@ -334,3 +336,130 @@ def test_not_outerplanar_names_input_vertices():
     # their positions on the cycle.
     with pytest.raises(NotOuterplanar, match=r"^chords \(40, 20\) and \(30, 10\) cross$"):
         _reject_crossing_chords(((0, 2), (1, 3)), (4, 3, 2, 1), [0, 10, 20, 30, 40])
+
+
+def _unshortened_flow(g):
+    # flow_outerplanar's route before paths of degree-2 vertices were
+    # shortened: the block walk, the certificate and the dual on g itself.
+    blocks, order = _walk_blocks(g, True)
+    if any(len(pairs) == 1 for _, pairs in blocks):
+        return ZERO
+    loops = g.m - sum(len(pairs) for _, pairs in blocks)
+    factors = [linear_power(1, loops)] if loops else []
+    label = [0] * g.n
+    for times, pairs in blocks:
+        for i, d in enumerate(times):
+            label[d] = i
+        edges = [(label[a], label[b]) for a, b in pairs]
+        dual, _ = build_dual(_certify(len(times), edges, [order[d] for d in times]))
+        factors.append(IntPoly(chromatic_vjtree(dual).coeffs[1:]))
+    return balanced_product(factors)
+
+
+def _chain_part(rng):
+    # A part whose edges each become, with chance one half, a path
+    # through 1-8 new vertices: a K4 or a K_{2,3} (never outerplanar), a
+    # loop (a cycle once subdivided, glued or a component of its own), a
+    # digon, now and then a pendant edge (a chain ending at a degree-1
+    # vertex), or a part of the mixed corpus.
+    kind = rng.randrange(10)
+    if kind == 0:
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    elif kind == 1:
+        edges = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
+    elif kind == 2:
+        edges = [(0, 0)]
+    elif kind == 3:
+        edges = [(0, 1), (0, 1)]
+    elif kind == 4 and rng.random() < 0.3:
+        edges = [(0, 1)]
+    else:
+        edges = _part(rng)
+    n = 1 + max(max(e) for e in edges)
+    out = []
+    for u, v in edges:
+        if rng.random() < 0.5:
+            path = [u, *range(n, n + rng.randint(1, 8)), v]
+            n += len(path) - 2
+            out += zip(path, path[1:])
+        else:
+            out.append((u, v))
+    return out
+
+
+def test_shortened_paths_match_the_unshortened_route():
+    # flow_outerplanar shortens every path of degree-2 vertices before the
+    # block walk; the polynomial, or the class of the rejection, must be
+    # that of the walk over the whole graph.
+    rng = random.Random(2718)
+    outcomes = Counter()
+    for i in range(5000):
+        g = _mixed_graph(rng, _chain_part if i % 2 else _part)
+        shortened = _shorten(g)[1] is not None
+        try:
+            expect = _unshortened_flow(g)
+        except NotOuterplanar as exc:
+            with pytest.raises(type(exc)):
+                flow_outerplanar(g)
+            outcomes[shortened, "rejected"] += 1
+            continue
+        assert flow_outerplanar(g) == expect
+        outcomes[shortened, "zero" if expect.is_zero() else "flow"] += 1
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 100, outcomes
+
+
+def _scaling_bench():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "scaling_bench.py"
+    spec = importlib.util.spec_from_file_location("scaling_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shortening_at_scale_and_its_absence():
+    bench = _scaling_bench()
+    rng = random.Random(2000)
+    g = bench.chorded_polygon(rng, 2000)
+    h, names, ones = _shorten(g)
+    assert h.n <= 100 and len(names) == h.n and ones == 0
+    assert flow_outerplanar(g) == _unshortened_flow(g)
+    # No path of a fan or of a triangulated polygon has two inner
+    # vertices, so they are certified as they are, with no copy.
+    for g in (bench.fan(rng, 600), bench.triangulated(rng, 600)):
+        h, names, ones = _shorten(g)
+        assert h is g and names is None and ones == 0
+        assert flow_outerplanar(g) == _unshortened_flow(g)
+    # Loops, a triangle and a digon on their own leave only their (t - 1)
+    # factors; two paths from vertex 3 back to itself become digons.
+    g = MultiGraph(10, [(0, 1), (1, 2), (2, 0), (8, 8), (3, 3), (8, 9), (8, 9),
+                        (3, 4), (4, 5), (5, 3), (3, 6), (6, 7), (7, 3)])
+    h, names, ones = _shorten(g)
+    assert sorted(h.edges) == [(0, 1), (0, 1), (0, 2), (0, 2)] and ones == 4
+    assert names[0] == 3 and {names[1], names[2]} <= {4, 5, 6, 7}
+    assert flow_outerplanar(g) == _unshortened_flow(g) == TM1**6
+
+
+@SETTINGS
+@given(st.integers(0, 10**9))
+def test_subdivided_sides_keep_the_flow_and_chords_break_it(seed):
+    # A vertex inserted on a side lies on the outer face, so k of them
+    # keep the block outerplanar and leave its flow alone; one inserted
+    # on a chord makes a subdivided K_{2,3}.
+    rng = random.Random(seed)
+    edges = random_outerplanar_block(rng, n_max=30, mult_max=3)
+    n = max(max(e) for e in edges) + 1
+    flow = flow_outerplanar(MultiGraph(n, edges))
+    sides = [e for e in edges if (e[1] - e[0]) % n in (1, n - 1)]
+    chords = [e for e in edges if e not in sides]
+    k = rng.randint(1, 8)
+    u, v = rng.choice(sides)
+    rest = list(edges)
+    rest.remove((u, v))
+    path = [u, *range(n, n + k), v]
+    assert flow_outerplanar(shuffle_labels(rng, n + k, rest + list(zip(path, path[1:])))) == flow
+    if chords:
+        u, v = rng.choice(chords)
+        rest = list(edges)
+        rest.remove((u, v))
+        with pytest.raises(NotOuterplanar):
+            flow_outerplanar(shuffle_labels(rng, n + 1, rest + [(u, n), (n, v)]))

@@ -8,7 +8,8 @@ code simple enough to audit line by line.
 
 The recursions are exponential.  A soft size guard raises TooLarge
 unless force=True; optional memoization (off by default) makes the
-equivalence suites affordable without touching the rewrite rules.
+equivalence suites affordable without touching the rewrite rules.  A
+recursion deeper than the interpreter allows also raises TooLarge.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ def oracle_chromatic(g: MultiGraph, *, force: bool = False, memoize: bool = Fals
     """
     if g.n > CHROMATIC_VERTEX_GUARD and not force:
         raise TooLarge(f"{g.n} vertices exceeds soft guard {CHROMATIC_VERTEX_GUARD}")
-    return _chromatic(g, {} if memoize else None)
+    try:
+        return _chromatic(g, {} if memoize else None)
+    except RecursionError:
+        raise TooLarge(f"{g.n} vertices: deletion-contraction recursion too deep") from None
 
 
 def _chromatic(g: MultiGraph, memo: _Memo) -> IntPoly:
@@ -71,7 +75,10 @@ def oracle_flow(g: MultiGraph, *, force: bool = False, memoize: bool = False) ->
     """
     if g.m > FLOW_EDGE_GUARD and not force:
         raise TooLarge(f"{g.m} edges exceeds soft guard {FLOW_EDGE_GUARD}")
-    return _flow(g, {} if memoize else None)
+    try:
+        return _flow(g, {} if memoize else None)
+    except RecursionError:
+        raise TooLarge(f"{g.m} edges: deletion-contraction recursion too deep") from None
 
 
 def _flow_contract(g: MultiGraph, eid: int) -> MultiGraph:

@@ -5,7 +5,10 @@ edges of an outerplanar multigraph is a polygon (its unique Hamiltonian
 cycle) plus non-crossing chords and parallel copies.  Its weak dual is
 a tree of bounded faces, and adjacency to the outer face turns into
 apex multiplicities, so the dual is exactly a VertexJoinTree and the
-block's flow polynomial is its chromatic one over t.
+block's flow polynomial is its chromatic one over t: F = P(dual)/t per
+block, which vjtree._factors hands over as a list of factors.  The
+factors of all blocks, and (t - 1) per loop, meet in one balanced
+product per graph.
 
 The outer cycle is recovered by degree-2 elimination (Mitchell 1979,
 "Linear algorithms to recognize outerplanar and maximal outerplanar
@@ -62,7 +65,7 @@ from typing import Sequence
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph, _walk_blocks
 from .polyring import ZERO, IntPoly, balanced_product, linear_power
-from .vjtree import VertexJoinTree, chromatic_vjtree
+from .vjtree import VertexJoinTree, _factors
 
 Edge = tuple[int, int]
 
@@ -361,8 +364,8 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
     each (_shorten).  Then block by block: a one-edge block (a bridge)
     kills the flow outright, isolated vertices are inert, loops factor
     out (t - 1) each, and every other block goes through its dual:
-    F = P(dual) / t per block, which is P(dual) with its zero constant
-    term dropped.  All factors meet in one balanced product.
+    F = P(dual) / t per block, whose factors vjtree._factors names.
+    All factors meet in one balanced product.
     """
     h, names, ones = _shorten(g)
     blocks, order = _walk_blocks(h, True)
@@ -387,5 +390,5 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
             edges = [(label[a], label[b]) for a, b in pairs]
             ids = [order[d] for d in times]
         dual, _ = build_dual(_certify(k, edges, ids))
-        factors.append(IntPoly(chromatic_vjtree(dual).coeffs[1:]))
+        factors += _factors(dual)
     return balanced_product(factors)

@@ -18,7 +18,8 @@ Powers of a linear factor, (t - a)^k, come from their binomial row
 tree and flow algorithms use it instead of repeated squaring, which
 costs a full multiply per step.  IntPoly ** stays as the general ring
 operation.  The same row less its constant term is the face factor
-D_k = ((t - 1)^k - (-1)^k) / t (cycle_quotient) of the wheel product.
+D_k = ((t - 1)^k - (-1)^k) / t (cycle_quotient) of the wheel and
+tree products.
 
 >>> T * T - T
 IntPoly((0, -1, 1))
@@ -88,7 +89,8 @@ class IntPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A constant, zero included, hashes like the int it equals.
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(sum(self.coeffs))
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
@@ -133,7 +135,10 @@ class IntPoly:
         return IntPoly(out)
 
     def __rsub__(self, other: int) -> IntPoly:
-        return IntPoly((other,)) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         other = self._coerce(other)
@@ -144,7 +149,7 @@ class IntPoly:
             return ZERO
         if min(len(a), len(b)) < FAST_MUL_CUTOFF:
             return IntPoly(_mul_schoolbook(a, b))
-        return IntPoly(_mul_kronecker(a, b))
+        return IntPoly(_unpack(_merge(self, other)))
 
     __rmul__ = __mul__
 
@@ -245,14 +250,6 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
         for j, d in enumerate(b):
             out[i + j] += c * d
     return out
-
-
-def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # Kronecker substitution at t = 10^w: both operands become one signed
-    # Decimal each, libmpdec multiplies them with its number-theoretic
-    # transform, and the product's w-digit slots are read back.
-    w = _width(_max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length())
-    return _unpack(_Packed.of(_EXACT.multiply(_pack(a, w), _pack(b, w)), w, len(a) + len(b) - 1))
 
 
 def _max_bits(cs: Sequence[int]) -> int:
@@ -406,23 +403,25 @@ def balanced_product(factors: Iterable[IntPoly]) -> IntPoly:
             r: IntPoly | _Packed = p * q
             size = len(r.coeffs)
         else:
-            pbits, pw = _bits_and_width(p)
-            qbits, qw = _bits_and_width(q)
-            w = max(_width(pbits + qbits + min(n, m).bit_length()), pw, qw)
-            r = _Packed.of(_EXACT.multiply(_at_width(p, w), _at_width(q, w)), w, n + m - 1)
+            r = _merge(p, q)
             size = r.n
         heappush(heap, (size, next(tie), r))
     top = heap[0][2]
     return top if isinstance(top, IntPoly) else IntPoly(_unpack(top))
 
 
-def _bits_and_width(p: IntPoly | _Packed) -> tuple[int, int]:
-    # A b with every |coefficient| < 2^b, and the slot width p has so far.
-    return (_max_bits(p.coeffs), 0) if isinstance(p, IntPoly) else (p.bits(), p.w)
-
-
-def _at_width(p: IntPoly | _Packed, w: int) -> Decimal:
-    return _pack(p.coeffs, w) if isinstance(p, IntPoly) else p.at_width(w)
+def _merge(p: IntPoly | _Packed, q: IntPoly | _Packed) -> _Packed:
+    # Kronecker substitution at t = 10^w: both operands become one signed
+    # Decimal each, libmpdec multiplies them with its number-theoretic
+    # transform, and the product stays packed.  A packed operand keeps
+    # its slot width or is widened as digits, never read back into ints.
+    (n, pbits, pw), (m, qbits, qw) = (
+        (x.n, x.bits(), x.w) if isinstance(x, _Packed) else (len(x.coeffs), _max_bits(x.coeffs), 0)
+        for x in (p, q)
+    )
+    w = max(_width(pbits + qbits + min(n, m).bit_length()), pw, qw)
+    a, b = (x.at_width(w) if isinstance(x, _Packed) else _pack(x.coeffs, w) for x in (p, q))
+    return _Packed.of(_EXACT.multiply(a, b), w, n + m - 1)
 
 
 def linear_power(a: int, k: int) -> IntPoly:
@@ -449,6 +448,13 @@ def cycle_quotient(k: int) -> IntPoly:
     so it needs no division.  D_0 = 0, D_1 = 1 and D_2 = t - 2.
     """
     return IntPoly(linear_power(1, k).coeffs[1:])
+
+
+def _face_factors(runs: list[int]) -> list[IntPoly]:
+    # D_(m+1) for each face of m + 2 sides: the m = 1 faces share one
+    # (t - 2)^c row, and each longer m is built once.
+    faces = {m: cycle_quotient(m + 1) for m in set(runs) if m > 1}
+    return [linear_power(2, runs.count(1)), *(faces[m] for m in runs if m > 1)]
 
 
 def chromatic_complete(n: int) -> IntPoly:

@@ -1,13 +1,14 @@
 """Chromatic polynomials of trees joined to an extra apex vertex.
 
 A VertexJoinTree is a tree on vertices 0..n-1 plus an implicit apex
-vertex carrying mult[v] parallel edges to each tree vertex v.  The
-chromatic polynomial of the realized multigraph is computed in three
-stages:
+vertex carrying mult[v] parallel edges to each tree vertex v.  Fixing
+the apex colour takes out the factor t, and P/t of the realized
+multigraph is computed in three stages:
 
   1. only whether a vertex is joined matters (parallel edges are
-     chromatically inert), and empty or singleton joins fall out as
-     closed forms;
+     chromatically inert); with no joined vertex the tree is free
+     beside the apex, P/t = t (t-1)^(n-1), and with one the apex hangs
+     off a tree on n+1 vertices, P/t = (t-1)^n;
   2. every tree edge not on a cycle of the joined graph is a bridge;
      stripping them takes out a factor (t-1) per edge and leaves the
      minimal subtree spanning the joined vertices, whose leaves are all
@@ -21,14 +22,16 @@ along a clique multiplies, P(G) = P(G_1) P(G_2) / P(K_2) (Read 1968,
 "An introduction to chromatic polynomials").  So pt' of the core is
 the product of pt' over its bricks: each edge between two joined
 vertices, and each maximal connected set of unjoined vertices with its
-joined neighbours as leaves.  A one-edge brick closes a triangle with
-the apex and gives t-2; a path brick of m edges closes a cycle on m+2
-vertices and gives D_(m+1) (polyring.cycle_quotient), the face factor
-of the wheels.  With b bridges and c one-edge bricks,
+joined neighbours as leaves.  A path brick of m edges closes a cycle
+on m+2 vertices with the apex and gives the face factor D_(m+1) of the
+wheels (polyring._face_factors); a one-edge brick, m = 1, gives t-2.
+With b bridges,
 
-  P = t (t-1)^(b+1) (t-2)^c * prod D_(m+1) * prod pt'(branching brick),
+  P / t = (t-1)^(b+1) * prod D_(m+1) * prod pt'(branching brick).
 
-one balanced_product of binomial rows, face factors and sweeps.
+_factors returns these factors unmultiplied.  chromatic_vjtree takes
+one balanced_product of them and shifts it by t; an outerplanar block's
+flow is P(dual)/t, so flow_outerplanar multiplies them as they are.
 
 A branching brick is rooted at an unjoined vertex.  For an unjoined
 vertex a let T_a be the subgraph on a, its descendants and the apex,
@@ -57,13 +60,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSize, InvalidTree, InvalidVertex
 from .multigraph import MultiGraph
-from .polyring import T, ZERO, IntPoly, balanced_product, cycle_quotient, linear_power
+from .polyring import T, ZERO, IntPoly, _face_factors, balanced_product, linear_power
 
 _TM2 = IntPoly((-2, 1))
 
@@ -150,20 +153,6 @@ def reduce_multiplicities(t: VertexJoinTree) -> VertexJoinTree:
     return VertexJoinTree(t.n, t.tree_edges, {v: 1 for v in t.mult})
 
 
-def chromatic_small_s(t: VertexJoinTree) -> IntPoly | None:
-    """Closed forms when at most one vertex is joined, else None.
-
-    No joins: tree times an isolated apex, t^2 (t-1)^(n-1).  One joined
-    vertex: the apex hangs off a tree on n+1 vertices, t(t-1)^n.
-    """
-    s = len(t.mult)
-    if s == 0:
-        return IntPoly((0, 0, *linear_power(1, t.n - 1).coeffs))
-    if s == 1:
-        return IntPoly((0, *linear_power(1, t.n).coeffs))
-    return None
-
-
 def strip_bridges(t: VertexJoinTree) -> BridgeReduction:
     """Remove tree vertices outside every cycle of the joined graph.
 
@@ -214,8 +203,7 @@ class Brick(NamedTuple):
 class Bricks(NamedTuple):
     """A bridge-stripped core cut at its joined vertices."""
 
-    edges: int  # one-edge bricks, t-2 each
-    paths: list[int]  # edge counts m of the path bricks, D_(m+1) each
+    paths: list[int]  # edge counts m of the path bricks, one-edge ones too; D_(m+1) each
     branching: list[Brick]  # bricks with an unjoined branching vertex
 
 
@@ -245,8 +233,8 @@ def split_bricks(core: VertexJoinTree) -> Bricks:
             paths.append(len(order) + 1)
         else:
             branching.append(Brick(tuple(parent), tuple(leaves)))
-    edges = sum(1 for u, v in core.tree_edges if u in joined and v in joined)
-    return Bricks(edges, paths, branching)
+    paths += [1 for u, v in core.tree_edges if u in joined and v in joined]
+    return Bricks(paths, branching)
 
 
 def heavy_path_sweep(brick: Brick) -> IntPoly:
@@ -328,19 +316,22 @@ def _dot(xs: Sequence[IntPoly], ys: Sequence[IntPoly]) -> IntPoly:
 
 def chromatic_vjtree(t: VertexJoinTree) -> IntPoly:
     """Chromatic polynomial of the realized join, exactly."""
-    early = chromatic_small_s(t)
-    if early is not None:
-        return early
+    return IntPoly((0, *balanced_product(_factors(t)).coeffs))
+
+
+def _factors(t: VertexJoinTree) -> list[IntPoly]:
+    # The factors of P/t (module docstring).
+    if not t.mult:
+        return [T, linear_power(1, t.n - 1)]
+    if len(t.mult) == 1:
+        return [linear_power(1, t.n)]
     reduction = strip_bridges(t)
     bricks = split_bricks(reduction.core)
-    faces = {m: cycle_quotient(m + 1) for m in set(bricks.paths)}
-    product = balanced_product([
+    return [
         linear_power(1, reduction.b + 1),
-        linear_power(2, bricks.edges),
-        *(faces[m] for m in bricks.paths),
+        *_face_factors(bricks.paths),
         *map(heavy_path_sweep, bricks.branching),
-    ])
-    return IntPoly((0, *product.coeffs))
+    ]
 
 
 # -- reference sweep ---------------------------------------------------------
@@ -357,17 +348,12 @@ class NodeState(NamedTuple):
 
 @dataclass(frozen=True)
 class LeveledTree:
-    """Core tree rooted for the sweep; node_state fills during sweep()."""
+    """Core tree rooted for the sweep."""
 
     root: int
     level: dict[int, int]
     children: dict[int, tuple[int, ...]]
     parent: dict[int, int]
-    node_state: dict[int, NodeState] = field(default_factory=dict)
-
-    @property
-    def depth(self) -> int:
-        return max(self.level.values())
 
 
 def build_leveled(core: VertexJoinTree, root: int | None = None) -> LeveledTree:
@@ -403,9 +389,9 @@ def build_leveled(core: VertexJoinTree, root: int | None = None) -> LeveledTree:
 def sweep(lt: LeveledTree, core: VertexJoinTree) -> IntPoly:
     """Evaluate the recurrences bottom-up; returns P at the root.
 
-    Populates lt.node_state with the (P(T_a), P(H_a)) pair per vertex.
+    The (P(T_a), P(H_a)) pair of each vertex lives in a local table.
     """
-    state = lt.node_state
+    state: dict[int, NodeState] = {}
     order = sorted(lt.level, key=lambda v: lt.level[v], reverse=True)
     for a in order:
         joined = a in core.mult

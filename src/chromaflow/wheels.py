@@ -51,11 +51,10 @@ from .multigraph import MultiGraph
 from .polyring import (
     T,
     IntPoly,
+    _face_factors,
     balanced_product,
     chromatic_complete,
     chromatic_cycle,
-    cycle_quotient,
-    linear_power,
 )
 
 _TM1 = IntPoly((-1, 1))
@@ -164,10 +163,7 @@ def flow_wheel(phi: PhiString) -> IntPoly:
 
 def _face_product(runs: list[int]) -> IntPoly:
     # W = (t - 2)(-1)^(sum of runs) + prod D_(m+1) (module docstring).
-    # The faces with m = 1 give (t - 2)^c from one binomial row.
-    product = balanced_product(
-        [linear_power(2, runs.count(1)), *(cycle_quotient(m + 1) for m in runs if m > 1)]
-    )
+    product = balanced_product(_face_factors(runs))
     return product - _TM2 if sum(runs) % 2 else product + _TM2
 
 

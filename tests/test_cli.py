@@ -412,6 +412,19 @@ def test_gr_header_size_guard(tmp_path, monkeypatch, capsys):
     assert calls == [cli.MAX_GR_VERTICES]
 
 
+def test_deep_oracle_recursion_is_one_line(tmp_path, capsys):
+    # Deletion-contraction on a 1200-cycle recurses deeper than the
+    # interpreter allows; the oracle reports that as TooLarge.
+    n = 1200
+    path = write(tmp_path, "c.gr", f"p edge {n} {n}\n"
+                 + "".join(f"e {i + 1} {(i + 1) % n + 1}\n" for i in range(n)))
+    limit = sys.getrecursionlimit()
+    code, out, err = invoke(capsys, "oracle", "flow", path, "--force")
+    assert code == 1 and out == ""
+    assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
+    assert sys.getrecursionlimit() == limit
+
+
 def test_phi_total_guard(monkeypatch, capsys):
     huge = "1,10000000000000000000000"
     for command in (("dual", "phi"), ("flow", "wheel")):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromaflow import outerplanar, vjtree
 from chromaflow.errors import NotBiconnected, NotOuterplanar
 from chromaflow.generators import (fan_polygon, random_outerplanar, random_outerplanar_block,
                                    shuffle_labels, triangulated_polygon)
@@ -142,6 +143,31 @@ def test_flow_frozen_values():
     chain = MultiGraph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2),
                            (4, 5), (5, 6), (6, 4)])
     assert flow_outerplanar(chain) == TM1**3
+
+
+def test_one_product_per_graph(monkeypatch):
+    # Every block's factors and the loops' row meet in one balanced
+    # product: no product per block, and no leading t to slice off.
+    calls = []
+
+    def counting(factors):
+        calls.append(factors)
+        return balanced_product(factors)
+
+    # The block duals below have no branching brick, so vjtree takes no
+    # product of its own either.
+    monkeypatch.setattr(outerplanar, "balanced_product", counting)
+    monkeypatch.setattr(vjtree, "balanced_product", counting)
+    # Three blocks at cut vertices 2 and 4: a triangle with a doubled
+    # side, a square with a chord and a digon, plus a loop at 0.
+    g = MultiGraph(7, [(0, 1), (1, 2), (2, 0), (0, 1), (2, 3), (3, 4), (4, 5), (5, 2), (2, 4),
+                       (4, 6), (6, 4), (0, 0)])
+    assert len(g.blocks()) == 3
+    assert flow_outerplanar(g) == oracle_flow(g, memoize=True)
+    assert len(calls) == 1
+    fan = MultiGraph(8, fan_polygon(8) + [(0, 1)])
+    assert flow_outerplanar(fan) == oracle_flow(fan, force=True, memoize=True)
+    assert len(calls) == 2
 
 
 def test_wheel_is_not_outerplanar():

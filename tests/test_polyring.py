@@ -17,8 +17,9 @@ from chromaflow.polyring import (
     T,
     ZERO,
     IntPoly,
-    _mul_kronecker,
+    _merge,
     _mul_schoolbook,
+    _unpack,
     balanced_product,
     chromatic_complete,
     chromatic_cycle,
@@ -151,7 +152,7 @@ def test_mul_commutes_and_matches_paths(a, b):
     assert p * q == q * p
     if p.coeffs and q.coeffs:
         with default_int_digit_limit():
-            fast = _mul_kronecker(p.coeffs, q.coeffs)
+            fast = _unpack(_merge(p, q))
         assert tuple(fast) == tuple(_mul_schoolbook(p.coeffs, q.coeffs))
 
 
@@ -185,7 +186,7 @@ def test_mul_paths_agree_at_degree_10k():
     rng = random.Random(99)
     a = [rng.randint(-50, 50) for _ in range(10_001)]
     b = [rng.randint(-50, 50) for _ in range(10_001)]
-    assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+    assert _unpack(_merge(IntPoly(a), IntPoly(b))) == _mul_schoolbook(a, b)
     assert len(a) >= FAST_MUL_CUTOFF  # the dispatcher picks the fast path here
     prod = IntPoly(a) * IntPoly(b)
     assert prod.degree == 20_000
@@ -222,6 +223,20 @@ def test_int_coercion_and_hash():
     assert hash(IntPoly((0, 1))) == hash(T)
     assert IntPoly((5,)) == 5
     assert ZERO == 0
+    # Constants, zero included, hash like the int they equal.
+    for c in (5, -3, 0, 2**100):
+        assert hash(IntPoly((c,))) == hash(c)
+        assert {c: "x"}.get(IntPoly((c,))) == "x"
+    assert {0: "zero"}[ZERO] == "zero"
+    assert len({IntPoly((5,)), 5, ZERO, 0}) == 2
+
+
+def test_non_int_operands_raise():
+    for other in (2.5, "a"):
+        with pytest.raises(TypeError):
+            other - T
+        with pytest.raises(TypeError):
+            T - other
 
 
 def test_immutability():

@@ -9,6 +9,8 @@ against the reference sweep.
 from __future__ import annotations
 
 import random
+from copy import deepcopy
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,6 @@ from chromaflow.vjtree import (
     Bricks,
     VertexJoinTree,
     build_leveled,
-    chromatic_small_s,
     chromatic_vjtree,
     heavy_path_sweep,
     reduce_multiplicities,
@@ -81,19 +82,20 @@ def test_reduce_multiplicities():
 
 def test_small_s_closed_forms():
     # no joins: tree plus isolated apex
-    assert chromatic_small_s(VertexJoinTree(4, ((0, 1), (1, 2), (2, 3)), {})) == (
+    assert chromatic_vjtree(VertexJoinTree(4, ((0, 1), (1, 2), (2, 3)), {})) == (
         T**2 * TM1**3
     )
     # one join: the apex is a pendant vertex
-    assert chromatic_small_s(VertexJoinTree(4, ((0, 1), (1, 2), (2, 3)), {1: 1})) == (
+    assert chromatic_vjtree(VertexJoinTree(4, ((0, 1), (1, 2), (2, 3)), {1: 1})) == (
         T * TM1**4
     )
-    assert chromatic_small_s(path3({0: 1, 2: 1})) is None
+    # two joins close a cycle through the apex
+    assert chromatic_vjtree(path3({0: 1, 2: 1})) == chromatic_cycle(4)
     # a long path, s = 0 and s = 1
     n = 2000
     path = tuple((i, i + 1) for i in range(n - 1))
-    assert chromatic_small_s(VertexJoinTree(n, path, {})) == T**2 * TM1 ** (n - 1)
-    assert chromatic_small_s(VertexJoinTree(n, path, {n // 2: 3})) == T * TM1**n
+    assert chromatic_vjtree(VertexJoinTree(n, path, {})) == T**2 * TM1 ** (n - 1)
+    assert chromatic_vjtree(VertexJoinTree(n, path, {n // 2: 3})) == T * TM1**n
 
 
 def test_long_bridged_tail():
@@ -142,13 +144,13 @@ def test_sweep_frozen_values():
     assert sweep(build_leveled(two_cycle), two_cycle) == T * TM1
 
 
-def test_sweep_populates_node_state():
+def test_sweep_leaves_leveled_tree_unchanged():
     fan = path3({0: 1, 1: 1, 2: 1})
     lt = build_leveled(fan)
-    sweep(lt, fan)
-    assert set(lt.node_state) == {0, 1, 2}
-    leaf_state = lt.node_state[2]
-    assert leaf_state.pt == T * TM1 and leaf_state.ph == T
+    assert [f.name for f in fields(lt)] == ["root", "level", "children", "parent"]
+    before = deepcopy(lt)
+    assert sweep(lt, fan) == sweep(lt, fan) == T * TM1 * TM2**2
+    assert lt == before
 
 
 def test_chromatic_vjtree_frozen():
@@ -212,7 +214,7 @@ def star(leaves, rng):
 
 def sweeps_agree(t):
     """Production path and reference sweep on the stripped core; False if there is none."""
-    if chromatic_small_s(t) is not None:
+    if len(t.mult) < 2:
         return False
     red = strip_bridges(reduce_multiplicities(t))
     assert chromatic_vjtree(t) == sweep(build_leveled(red.core), red.core) * TM1**red.b
@@ -253,17 +255,17 @@ def no_sweep(brick):
 def test_one_edge_and_path_bricks_are_closed_forms(monkeypatch):
     monkeypatch.setattr(vjtree, "heavy_path_sweep", no_sweep)
     edge = VertexJoinTree(2, ((0, 1),), {0: 1, 1: 2})
-    assert split_bricks(edge) == Bricks(1, [], [])
+    assert split_bricks(edge) == Bricks([1], [])
     assert chromatic_vjtree(edge) == T * TM1 * TM2
     for m in range(2, 12):
         path = VertexJoinTree(m + 1, tuple((i, i + 1) for i in range(m)), {0: 1, m: 1})
-        assert split_bricks(path) == Bricks(0, [m], [])
+        assert split_bricks(path) == Bricks([m], [])
         assert chromatic_vjtree(path) == T * TM1 * cycle_quotient(m + 1)
         assert chromatic_vjtree(path) == chromatic_cycle(m + 2)
     # All joined: every edge is a brick of its own, one (t-2)^(n-1) row.
     n = 500
     path = VertexJoinTree(n, tuple((i, i + 1) for i in range(n - 1)), {v: 1 for v in range(n)})
-    assert split_bricks(path) == Bricks(n - 1, [], [])
+    assert split_bricks(path) == Bricks([1] * (n - 1), [])
     assert chromatic_vjtree(path) == T * TM1 * TM2 ** (n - 1)
 
 
@@ -277,7 +279,7 @@ def test_branching_bricks_run_the_sweep(monkeypatch):
     monkeypatch.setattr(vjtree, "heavy_path_sweep", recording)
     # A star with an unjoined centre is one brick with three leaves.
     star = VertexJoinTree(4, ((0, 1), (0, 2), (0, 3)), {1: 1, 2: 1, 3: 1})
-    assert split_bricks(star) == Bricks(0, [], [Brick((-1,), (3,))])
+    assert split_bricks(star) == Bricks([], [Brick((-1,), (3,))])
     assert chromatic_vjtree(star) == oracle_chromatic(star.realize())
     assert swept == [Brick((-1,), (3,))]
     # Joined 0 of degree 3 is a leaf of three bricks: the path 0-1-2, the
@@ -285,7 +287,7 @@ def test_branching_bricks_run_the_sweep(monkeypatch):
     swept.clear()
     t = VertexJoinTree(7, ((0, 1), (1, 2), (0, 3), (0, 4), (4, 5), (4, 6)),
                        {0: 1, 2: 1, 3: 1, 5: 1, 6: 1})
-    assert split_bricks(t) == Bricks(1, [2], [Brick((-1,), (3,))])
+    assert split_bricks(t) == Bricks([2, 1], [Brick((-1,), (3,))])
     expected = T * TM1 * TM2 * cycle_quotient(3) * ((TM2**3) + TM1**2)
     assert chromatic_vjtree(t) == expected == oracle_chromatic(t.realize(), memoize=True)
     assert swept == [Brick((-1,), (3,))]

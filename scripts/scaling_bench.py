@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall-time scaling of the tree sweep, of wheels or of outerplanar flows.
+"""Wall-time scaling of the tree sweep, wheels, joined cliques or outerplanar flows.
 
 --family tree (the default) times chromatic_vjtree on random
 caterpillars and prints one row per size: n, seconds, ratio to the
@@ -13,6 +13,10 @@ the same as for tree.
 
 --family wheel times chromatic_wheel on random 0/1 phi-strings, each
 entry joined with probability 1/2; its rows are the same as for tree.
+
+--family clique times chromatic_clique_join on cliques with a quarter
+of the vertices, picked at random, joined to the apex; its rows are
+the same as for tree.
 
 --family outerplanar times flow_outerplanar on one polygon per size
 with n/200 non-crossing chords and shuffled vertex labels, where the
@@ -50,7 +54,7 @@ from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_label
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
-from chromaflow.wheels import PhiString, chromatic_wheel
+from chromaflow.wheels import PhiString, chromatic_clique_join, chromatic_wheel
 
 DEFAULT_SIZES = {
     "tree": "512,1024,2048,4096",
@@ -59,6 +63,7 @@ DEFAULT_SIZES = {
     "wheel": "512,1024,2048,4096,8192",
     "triangulated": "512,1024,2048,4096",
     "fan": "512,1024,2048,4096",
+    "clique": "512,1024,2048,4096",
 }
 
 
@@ -73,6 +78,11 @@ def bridged_tree(rng: random.Random, n: int) -> VertexJoinTree:
 def random_wheel(rng: random.Random, n: int) -> PhiString:
     """Random 0/1 phi-string of n entries."""
     return PhiString(tuple(rng.randint(0, 1) for _ in range(n)))
+
+
+def joined_clique(rng: random.Random, n: int) -> tuple[int, dict[int, int]]:
+    """Clique size and apex multiplicities: n/4 random vertices joined once."""
+    return n, {v: 1 for v in rng.sample(range(n), n // 4)}
 
 
 def chorded_polygon(rng: random.Random, n: int) -> MultiGraph:
@@ -107,7 +117,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
     ap.add_argument("--sizes", help="comma-separated vertex counts (default: 512..4096 "
-                    "for tree, triangulated and fan, 1024..8192 for bridged, "
+                    "for tree, clique, triangulated and fan, 1024..8192 for bridged, "
                     "6000..48000 for outerplanar, 512..8192 for wheel)")
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
@@ -118,9 +128,11 @@ def main() -> None:
     args = ap.parse_args()
     sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
     make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon,
-            "wheel": random_wheel, "triangulated": triangulated, "fan": fan}[args.family]
+            "wheel": random_wheel, "triangulated": triangulated, "fan": fan,
+            "clique": joined_clique}[args.family]
     compute = {"outerplanar": flow_outerplanar, "triangulated": flow_outerplanar,
-               "fan": flow_outerplanar, "wheel": chromatic_wheel}.get(args.family, chromatic_vjtree)
+               "fan": flow_outerplanar, "wheel": chromatic_wheel,
+               "clique": lambda nm: chromatic_clique_join(*nm)}.get(args.family, chromatic_vjtree)
     show_bits = args.family != "outerplanar"
 
     rng = random.Random(args.seed)

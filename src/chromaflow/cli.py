@@ -116,6 +116,8 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
                 u, v = int(tok[1]), int(tok[2])
                 if not (0 < u <= n and 0 < v <= n):
                     raise _outside(path, lineno, n, u, v)
+                if u == v:
+                    raise ParseError(f"{path}:{lineno}: tree edge ({u}, {v}) is a loop")
                 edges.append((u - 1, v - 1))
             elif tok[0] == "join" and len(tok) == 3 and n is not None:
                 v, m = int(tok[1]), _to_int(tok[2])
@@ -222,7 +224,7 @@ def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
 
     dual = sub.add_parser("dual", help="duality transforms")
     dsub = dual.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("phi", parents=[common], help="phi-string of the dual wheel")
+    p = dsub.add_parser("phi", help="phi-string of the dual wheel")
     p.add_argument("--phi", required=True, metavar="a1,a2,...")
 
     oracle = sub.add_parser("oracle", help="deletion-contraction reference oracle")
@@ -304,7 +306,7 @@ def _dispatch(args) -> list[str]:
         raise ParseError(f"unknown command {cmd}")
 
     lines = [format_poly(poly)]
-    if getattr(args, "eval_points", None):
+    if args.eval_points:
         for t in _int_list(args.eval_points, "--eval", _to_int):
             lines.append(f"eval {_digits(t)} {_digits(poly.evaluate(t))}")
     return lines

@@ -12,7 +12,6 @@ creates a loop.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterable
 
 from .errors import InvalidEdge, InvalidVertex, SelfContract
@@ -94,9 +93,8 @@ class MultiGraph:
     def blocks(self) -> list[tuple[int, ...]]:
         """Sorted edge ids of each biconnected block, as the search closes it.
 
-        One low-link depth-first search (Hopcroft-Tarjan) over a flat CSR
-        view of the graph (offsets plus neighbour and edge-id lists, built
-        by counting sort), walked with integer cursors.  Edges are
+        One low-link depth-first search (Hopcroft-Tarjan) over the
+        adjacency lists, each read with an integer cursor.  Edges are
         stacked by id, and the entering edge is tracked by id so that a
         parallel copy of it closes a cycle.  Loops belong to no block; a
         bridge is a block of one edge.
@@ -160,34 +158,13 @@ def _walk_blocks(g: MultiGraph, pairs: bool) -> tuple[list[tuple[list[int], list
     or, with pairs set, the discovery times (a, b), a < b, of their two
     ends.  With pairs, a block thus comes out already in DFS-discovery
     labels, with no pass over the graph's own edges afterwards.
-    """
-    n, edges = g.n, g.edges
-    # CSR by counting sort on the endpoints, filled from the last edge
-    # back so that each vertex lists its edges by increasing id and its
-    # cursor ends on its first slot.
-    deg = [0] * n
-    for u, v in edges:
-        if u != v:
-            deg[u] += 1
-            deg[v] += 1
-    stop = list(accumulate(deg))
-    del deg
-    cur = stop[:]
-    nbr = [0] * (stop[-1] if n else 0)
-    ids = nbr[:]
-    e = len(edges)
-    for u, v in reversed(edges):
-        e -= 1
-        if u != v:
-            i = cur[u] - 1
-            cur[u] = i
-            nbr[i] = v
-            ids[i] = e
-            i = cur[v] - 1
-            cur[v] = i
-            nbr[i] = u
-            ids[i] = e
 
+    It reads g.adjacency() (edges by increasing id, loops left out)
+    with one cursor per vertex, where the search resumes on return.
+    """
+    n = g.n
+    adj = g.adjacency()
+    cur = [0] * n
     disc = [-1] * n
     low = [0] * n
     order: list[int] = []
@@ -207,10 +184,10 @@ def _walk_blocks(g: MultiGraph, pairs: bool) -> tuple[list[tuple[list[int], list
         path = [(root, dw, -1, 0, 0)]
         while path:
             v, dv, pe, at, first = path[-1]
-            i, end = cur[v], stop[v]
+            nbrs = adj[v]
+            i, end = cur[v], len(nbrs)
             while i < end:
-                w = nbr[i]
-                e = ids[i]
+                w, e = nbrs[i]
                 i += 1
                 dw = disc[w]
                 if dw < 0:

@@ -77,6 +77,7 @@ class OuterCycle:
     order starts at the smallest vertex and runs toward its smaller
     cycle neighbor, so equal graphs yield identical certificates.  A
     two-vertex order marks the degenerate parallel-bundle cycle.
+    parallel_count counts the copies of each distinct edge, never a loop.
     intervals holds the chords as (i, j) positions in order, i < j,
     sorted by i and then by decreasing j: outer chords first.
     """
@@ -84,13 +85,13 @@ class OuterCycle:
     order: tuple[int, ...]
     chord_set: tuple[Edge, ...]
     parallel_count: dict[Edge, int]
-    loop_count: int
     intervals: tuple[tuple[int, int], ...]
 
 
 def find_outer_cycle(g: MultiGraph) -> OuterCycle:
     """Recover the outer Hamiltonian cycle of a biconnected multigraph.
 
+    Loops lie on no cycle through two vertices and are left out.
     Raises NotBiconnected unless g is connected without a cut vertex,
     and NotOuterplanar unless it has an outerplanar embedding.
     """
@@ -98,22 +99,20 @@ def find_outer_cycle(g: MultiGraph) -> OuterCycle:
     spans = len(blocks) == 1 and len({x for e in blocks[0] for x in g.edges[e]}) == g.n
     if g.n != 1 and not spans:
         raise NotBiconnected("input is disconnected or has a cut vertex")
-    return _certify(g.n, g.edges, range(g.n))
+    return _certify(g.n, [(u, v) for u, v in g.edges if u != v], range(g.n))
 
 
 def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
-    # find_outer_cycle on the normalized edges of a graph on 0..n-1 that
-    # is already known to be biconnected; messages call vertex x names[x].
+    # find_outer_cycle on the normalized loopless edges of a biconnected
+    # graph on 0..n-1; messages call vertex x names[x].
     counts = Counter(edges)
-    loops = [e for e in counts if e[0] == e[1]]
-    loop_count = sum(counts.pop(e) for e in loops)
 
     if n == 1:
         raise NotOuterplanar("single vertex has no outer cycle")
     if n == 2:
         if not counts or next(iter(counts.values())) < 2:
             raise NotOuterplanar("two vertices need a parallel bundle to close a cycle")
-        return OuterCycle((0, 1), (), counts, loop_count, ())
+        return OuterCycle((0, 1), (), counts, ())
 
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in counts:
@@ -190,7 +189,7 @@ def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
         key=lambda ij: (ij[0], -ij[1]),
     ))
     _reject_crossing_chords(intervals, order, names)
-    return OuterCycle(tuple(order), tuple(sorted(chords)), counts, loop_count, intervals)
+    return OuterCycle(tuple(order), tuple(sorted(chords)), counts, intervals)
 
 
 def _reject_crossing_chords(intervals: Sequence[tuple[int, int]], order: Sequence[int],
@@ -207,7 +206,7 @@ def _reject_crossing_chords(intervals: Sequence[tuple[int, int]], order: Sequenc
         stack.append((i, j))
 
 
-def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
+def build_dual(oc: OuterCycle) -> VertexJoinTree:
     """Weak dual of the certified block, as a tree join.
 
     One tree vertex per bounded face; faces sharing a chord are
@@ -215,7 +214,7 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
     bundle of k parallel copies stacks k-1 two-sided faces, inserted as
     a path of k-1 extra vertices subdividing the corresponding dual
     edge (toward the apex for cycle bundles, between the two face
-    vertices for chord bundles).
+    vertices for chord bundles).  The block's flow is P(tree) / t.
     """
     order = oc.order
     n = len(order)
@@ -224,7 +223,7 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
         faces = k - 1
         edges = tuple((i, i + 1) for i in range(faces - 1))
         mult = {0: 2} if faces == 1 else {0: 1, faces - 1: 1}
-        return VertexJoinTree(faces, edges, mult), oc.loop_count
+        return VertexJoinTree(faces, edges, mult)
 
     intervals = oc.intervals
 
@@ -281,20 +280,21 @@ def build_dual(oc: OuterCycle) -> tuple[VertexJoinTree, int]:
             dual_edges.append((prev, b))
 
     dual_edges.extend(extra_edges)
-    return VertexJoinTree(total, tuple(dual_edges), mult), oc.loop_count
+    return VertexJoinTree(total, tuple(dual_edges), mult)
 
 
 def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
     """g with every path of degree-2 vertices shortened to one inner vertex.
 
     Returns (h, names, ones): vertex x of h is vertex names[x] of g, and
-    ones counts the (t - 1) factors of what h leaves out, g's loops and
-    its components that are one cycle.  Loops do not count toward
-    degree, and isolated vertices are dropped.  A path is kept as its
-    first inner vertex, so one that leaves a and returns to a becomes
-    the digon a-x-a, and one that ends at a degree-1 vertex keeps it.
-    When no path has two or more inner vertices, h is g itself, names
-    is None and ones is 0.
+    ones counts the (t - 1) factors of g's loops and of its components
+    that are one cycle, all of which h's blocks leave out.  Loops do
+    not count toward degree, and isolated vertices are dropped.  A path
+    is kept as its first inner vertex, so one that leaves a and returns
+    to a becomes the digon a-x-a, and one that ends at a degree-1
+    vertex keeps it.  When no path has two or more inner vertices, h is
+    g itself, loops included, and names is None; the block walk passes
+    over the loops.
     """
     n, edges = g.n, g.edges
     deg = [0] * n
@@ -302,11 +302,12 @@ def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
         if u != v:
             deg[u] += 1
             deg[v] += 1
+    ones = len(edges) - sum(deg) // 2  # g's loops
     for u, v in edges:
         if deg[u] == 2 == deg[v] and u != v:
             break
     else:
-        return g, None, 0
+        return g, None, ones
 
     # A vertex of degree 2 entered from one neighbour leaves by the sum
     # of its neighbours less that one.
@@ -343,9 +344,8 @@ def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
         kept.append((len(names), label[b]))
         names.append(x)
 
-    # g's loops, and its components that are one cycle: whatever no
-    # walk reached lies on one.
-    ones = len(edges) - sum(deg) // 2
+    # g's components that are one cycle: whatever no walk reached lies
+    # on one.
     if seen.count(1) < deg.count(2):
         for u, v in edges:
             if u != v and deg[u] == 2 and not seen[u]:
@@ -361,11 +361,11 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
     """Flow polynomial of an outerplanar multigraph, exactly.
 
     Paths of degree-2 vertices are first shortened to one inner vertex
-    each (_shorten).  Then block by block: a one-edge block (a bridge)
-    kills the flow outright, isolated vertices are inert, loops factor
-    out (t - 1) each, and every other block goes through its dual:
-    F = P(dual) / t per block, whose factors vjtree._factors names.
-    All factors meet in one balanced product.
+    each (_shorten), which counts the loops' (t - 1) factors.  Then
+    block by block: a one-edge block (a bridge) kills the flow outright,
+    isolated vertices are inert, and every other block goes through its
+    dual: F = P(dual) / t per block, whose factors vjtree._factors
+    names.  All factors meet in one balanced product.
     """
     h, names, ones = _shorten(g)
     blocks, order = _walk_blocks(h, True)
@@ -373,22 +373,12 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
         return ZERO
     if names is not None:
         order = [names[v] for v in order]
-    # Every edge but a loop lies in exactly one block.
-    ones += h.m - sum(len(pairs) for _, pairs in blocks)
     factors = [linear_power(1, ones)] if ones else []
     label = [0] * h.n
     for times, pairs in blocks:
-        # Compact the block's discovery times to 0..k-1, in order, with
-        # one table; a block of the first k vertices discovered, such as
-        # one spanning the graph, has them already.
-        k = len(times)
-        if times[-1] == k - 1:
-            edges, ids = pairs, order
-        else:
-            for i, d in enumerate(times):
-                label[d] = i
-            edges = [(label[a], label[b]) for a, b in pairs]
-            ids = [order[d] for d in times]
-        dual, _ = build_dual(_certify(k, edges, ids))
-        factors += _factors(dual)
+        # Compact the block's discovery times to 0..k-1, in order.
+        for i, d in enumerate(times):
+            label[d] = i
+        edges = [(label[a], label[b]) for a, b in pairs]
+        factors += _factors(build_dual(_certify(len(times), edges, [order[d] for d in times])))
     return balanced_product(factors)

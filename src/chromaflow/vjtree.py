@@ -7,12 +7,11 @@ multigraph is computed in three stages:
 
   1. only whether a vertex is joined matters (parallel edges are
      chromatically inert); with no joined vertex the tree is free
-     beside the apex, P/t = t (t-1)^(n-1), and with one the apex hangs
-     off a tree on n+1 vertices, P/t = (t-1)^n;
+     beside the apex, P/t = t (t-1)^(n-1);
   2. every tree edge not on a cycle of the joined graph is a bridge;
      stripping them takes out a factor (t-1) per edge and leaves the
      minimal subtree spanning the joined vertices, whose leaves are all
-     joined;
+     joined (with one joined vertex, that vertex alone);
   3. the core is split at its joined vertices into bricks, and only
      the bricks with an unjoined branching vertex are swept.
 
@@ -144,8 +143,6 @@ class BridgeReduction:
 
     core: VertexJoinTree
     b: int
-    removed: frozenset[int]
-    core_ids: tuple[int, ...]
 
 
 def reduce_multiplicities(t: VertexJoinTree) -> VertexJoinTree:
@@ -156,13 +153,13 @@ def reduce_multiplicities(t: VertexJoinTree) -> VertexJoinTree:
 def strip_bridges(t: VertexJoinTree) -> BridgeReduction:
     """Remove tree vertices outside every cycle of the joined graph.
 
-    With at least two joined vertices, the edges on cycles are exactly
-    those of the minimal subtree spanning the joined vertices, so the
-    core is found by repeatedly peeling unjoined leaves.  Each peeled
-    vertex accounts for one bridge.
+    The edges on cycles are exactly those of the minimal subtree
+    spanning the joined vertices, so the core is found by repeatedly
+    peeling unjoined leaves; with one joined vertex it is that vertex
+    alone.  Each peeled vertex accounts for one bridge.
     """
-    if len(t.mult) < 2:
-        raise InvalidTree("bridge stripping needs at least two joined vertices")
+    if not t.mult:
+        raise InvalidTree("bridge stripping needs a joined vertex")
     adj = t.adjacency()
     deg = [len(a) for a in adj]
     removed: set[int] = set()
@@ -186,7 +183,7 @@ def strip_bridges(t: VertexJoinTree) -> BridgeReduction:
     core = VertexJoinTree(
         len(core_ids), core_edges, {index[v]: m for v, m in t.mult.items()}
     )
-    return BridgeReduction(core, len(removed), frozenset(removed), core_ids)
+    return BridgeReduction(core, len(removed))
 
 
 class Brick(NamedTuple):
@@ -323,8 +320,6 @@ def _factors(t: VertexJoinTree) -> list[IntPoly]:
     # The factors of P/t (module docstring).
     if not t.mult:
         return [T, linear_power(1, t.n - 1)]
-    if len(t.mult) == 1:
-        return [linear_power(1, t.n)]
     reduction = strip_bridges(t)
     bricks = split_bricks(reduction.core)
     return [

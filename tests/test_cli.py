@@ -118,6 +118,15 @@ def test_dual_phi_golden(capsys):
     assert out == "phi 2,1,0,3,1,0,0,0,2,1,2,0,0,4\n"
 
 
+def test_dual_phi_refuses_eval(capsys):
+    # dual phi prints a phi-string, with nothing to evaluate.
+    for argv in (["--eval", "3"], ["--eval=1,2"]):
+        code, out, err = invoke(capsys, "dual", "phi", "--phi", "1,0,2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError: unrecognized arguments: --eval")
+        assert err.count("\n") == 1
+
+
 def test_flow_outerplanar_and_oracle(tmp_path, capsys):
     path = write(tmp_path, "c4.gr", GR_C4)
     code, out, _ = invoke(capsys, "flow", "outerplanar", path)
@@ -221,6 +230,13 @@ def test_file_vertices_outside_the_header(tmp_path, capsys):
         code, out, err = invoke(capsys, *command, path)
         assert code == 2 and out == ""
         assert err == f"error: ParseError: {path}:{lineno}: vertex {vertex} outside 1..3\n"
+
+
+def test_vjt_loop_edge_named_at_its_line(tmp_path, capsys):
+    path = write(tmp_path, "t.vjt", "vjt 3\nedge 1 2\nedge 2 2\njoin 1 1\n")
+    code, out, err = invoke(capsys, "chromatic", "tree", path)
+    assert code == 2 and out == ""
+    assert err == f"error: ParseError: {path}:3: tree edge (2, 2) is a loop\n"
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

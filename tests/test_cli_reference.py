@@ -6,8 +6,9 @@ argv to the same namespace, error or help.  The file readers read a
 file in one piece and split each line once; the line-by-line readers
 below are the reference, and both must return the same graph or the
 same error, except that a vertex id outside the header's range is now
-reported at its line with the file's 1-based id, and a header's vertex
-or edge count out of range at the header line.
+reported at its line with the file's 1-based id, a header's vertex or
+edge count out of range at the header line, and a tree edge that is a
+loop at its line with the file's ids.
 """
 
 from __future__ import annotations
@@ -174,8 +175,10 @@ READERS = [
 ]
 # The messages the one-read readers changed: a vertex id outside the
 # header's range, which replaces the library's 0-based range message,
-# and a count in the header out of range.
-CHANGED = re.compile(r":\d+: vertex -?\d+ outside 1\.\.-?\d+|:\d+: (vertex|edge) count must be ")
+# a count in the header out of range, and a tree edge that is a loop,
+# named with the file's ids at its line.
+CHANGED = re.compile(r":\d+: vertex -?\d+ outside 1\.\.-?\d+|:\d+: (vertex|edge) count must be "
+                     r"|:\d+: tree edge \(\d+, \d+\) is a loop")
 REF_OUTSIDE = re.compile(r"outside 0\.\.")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from chromaflow.errors import InvalidEdge, InvalidVertex, SelfContract
 from chromaflow.generators import (fan_polygon, random_outerplanar, shuffle_labels,
                                    triangulated_polygon)
-from chromaflow.multigraph import MultiGraph
+from chromaflow.multigraph import MultiGraph, _walk_blocks
+from test_outerplanar import _mixed_graph, _scaling_bench
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -188,9 +190,9 @@ def test_cycle_edges_are_never_bridges(g):
 
 
 def _iterator_blocks(g):
-    # The low-link walk blocks() ran before the CSR walk: per-vertex
-    # lists of (neighbor, edge id) tuples, one iterator per stacked
-    # vertex.  Kept as the reference the CSR walk must match exactly.
+    # The first low-link walk blocks() ran: per-vertex lists of
+    # (neighbor, edge id) tuples, one iterator per stacked vertex.  Kept
+    # as a reference the block walk must match exactly.
     disc = [-1] * g.n
     low = [0] * g.n
     adj = g.adjacency()
@@ -279,3 +281,101 @@ def test_blocks_match_iterator_walk():
         assert blocks == _iterator_blocks(g)
         seen += len(blocks)
     assert seen > 3000
+
+
+def _csr_walk_blocks(g, pairs):
+    # The block walk over its own CSR view of the graph, which it built
+    # by counting sort on the endpoints: offsets, neighbour and edge-id
+    # lists.  Kept as the reference for the walk over g.adjacency().
+    n, edges = g.n, g.edges
+    deg = [0] * n
+    for u, v in edges:
+        if u != v:
+            deg[u] += 1
+            deg[v] += 1
+    stop = list(accumulate(deg))
+    cur = stop[:]
+    nbr = [0] * (stop[-1] if n else 0)
+    ids = nbr[:]
+    e = len(edges)
+    for u, v in reversed(edges):
+        e -= 1
+        if u != v:
+            i = cur[u] - 1
+            cur[u] = i
+            nbr[i] = v
+            ids[i] = e
+            i = cur[v] - 1
+            cur[v] = i
+            nbr[i] = u
+            ids[i] = e
+
+    disc = [-1] * n
+    low = [0] * n
+    order = []
+    found = []
+    stack = []
+    entered = []
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        dw = len(order)
+        disc[root] = low[root] = dw
+        order.append(root)
+        path = [(root, dw, -1, 0, 0)]
+        while path:
+            v, dv, pe, at, first = path[-1]
+            i, end = cur[v], stop[v]
+            while i < end:
+                w = nbr[i]
+                e = ids[i]
+                i += 1
+                dw = disc[w]
+                if dw < 0:
+                    cur[v] = i
+                    dw = len(order)
+                    disc[w] = low[w] = dw
+                    order.append(w)
+                    path.append((w, dw, e, len(stack), len(entered)))
+                    stack.append((dv, dw) if pairs else e)
+                    entered.append(dw)
+                    break
+                if dw < dv and e != pe:
+                    stack.append((dw, dv) if pairs else e)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                path.pop()
+                if path:
+                    p, dp = path[-1][0], path[-1][1]
+                    lv = low[v]
+                    if lv < low[p]:
+                        low[p] = lv
+                    if lv >= dp:
+                        found.append(([dp, *entered[first:]], stack[at:]))
+                        del stack[at:], entered[first:]
+    return found, order
+
+
+def _assert_walks_agree(g):
+    for pairs in (False, True):
+        assert _walk_blocks(g, pairs) == _csr_walk_blocks(g, pairs)
+
+
+def test_walk_matches_csr_walk():
+    # The walk over g.adjacency() hands back the same blocks, in the same
+    # closing order and the same stacking order, and the same discovery
+    # order as the CSR walk it replaces: on shuffled multigraphs with
+    # loops, bundles, isolated vertices and bridges, on fans and
+    # triangulations, and on one long polygon with chords.
+    rng = random.Random(1618)
+    blocks = 0
+    for _ in range(600):
+        g = _mixed_graph(rng)
+        _assert_walks_agree(g)
+        blocks += len(g.blocks())
+    assert blocks > 1000
+    for n in (512, 1024, 2048, 4096):
+        _assert_walks_agree(shuffle_labels(rng, n, fan_polygon(n)))
+        _assert_walks_agree(shuffle_labels(rng, n, triangulated_polygon(rng, n)))
+    _assert_walks_agree(_scaling_bench().chorded_polygon(rng, 24000))

@@ -41,7 +41,6 @@ def test_find_outer_cycle_plain_cycle():
     assert oc.order == (0, 1, 2, 3, 4)
     assert oc.chord_set == ()
     assert all(k == 1 for k in oc.parallel_count.values())
-    assert oc.loop_count == 0
 
 
 def test_find_outer_cycle_square_with_diagonal():
@@ -110,11 +109,10 @@ def test_long_shuffled_polygon():
 
 
 def test_build_dual_shapes():
-    dual, loops = build_dual(find_outer_cycle(cycle(6)))
-    assert loops == 0
+    dual = build_dual(find_outer_cycle(cycle(6)))
     assert dual.n == 1 and dual.mult == {0: 6}
     g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    dual, _ = build_dual(find_outer_cycle(g))
+    dual = build_dual(find_outer_cycle(g))
     assert dual.n == 2
     assert dual.tree_edges == ((0, 1),)
     assert dual.mult == {0: 2, 1: 2}
@@ -122,8 +120,7 @@ def test_build_dual_shapes():
 
 def test_build_dual_banana():
     banana = MultiGraph(2, [(0, 1)] * 3)
-    dual, loops = build_dual(find_outer_cycle(banana))
-    assert loops == 0
+    dual = build_dual(find_outer_cycle(banana))
     assert dual.n == 2 and dual.tree_edges == ((0, 1),)
     assert chromatic_vjtree(dual).exact_div(T) == oracle_flow(banana)
 
@@ -216,7 +213,7 @@ def test_euler_face_count(seed):
     edges = random_outerplanar_block(rng, n_max=9, mult_max=3)
     n = max(max(e) for e in edges) + 1
     g = MultiGraph(n, edges)
-    dual, _ = build_dual(find_outer_cycle(g))
+    dual = build_dual(find_outer_cycle(g))
     assert dual.n == g.m - g.n + 1
 
 
@@ -230,7 +227,7 @@ def test_simple_dual_degrees(seed):
     n = max(max(e) for e in edges) + 1
     if n < 3:
         return
-    dual, _ = build_dual(find_outer_cycle(MultiGraph(n, edges)))
+    dual = build_dual(find_outer_cycle(MultiGraph(n, edges)))
     tree_deg = {v: 0 for v in range(dual.n)}
     for a, b in dual.tree_edges:
         tree_deg[a] += 1
@@ -261,7 +258,7 @@ def _sorted_label_flow(g):
     result = linear_power(1, sum(1 for u, v in g.edges if u == v))
     for block in blocks:
         n, edges = _block_graph(g, block)
-        dual, _ = build_dual(_certify(n, edges, range(n)))
+        dual = build_dual(_certify(n, edges, range(n)))
         result = result * IntPoly(chromatic_vjtree(dual).coeffs[1:])
     return result
 
@@ -377,7 +374,7 @@ def _unshortened_flow(g):
         for i, d in enumerate(times):
             label[d] = i
         edges = [(label[a], label[b]) for a, b in pairs]
-        dual, _ = build_dual(_certify(len(times), edges, [order[d] for d in times]))
+        dual = build_dual(_certify(len(times), edges, [order[d] for d in times]))
         factors.append(IntPoly(chromatic_vjtree(dual).coeffs[1:]))
     return balanced_product(factors)
 
@@ -463,6 +460,23 @@ def test_shortening_at_scale_and_its_absence():
     assert sorted(h.edges) == [(0, 1), (0, 1), (0, 2), (0, 2)] and ones == 4
     assert names[0] == 3 and {names[1], names[2]} <= {4, 5, 6, 7}
     assert flow_outerplanar(g) == _unshortened_flow(g) == TM1**6
+
+
+def test_loops_counted_once_when_nothing_is_shortened():
+    # A fan, or a triangle with a doubled side, has no path with two
+    # inner vertices, so _shorten hands back the graph itself, loops and
+    # all, and its count is the loops' only (t - 1) factors.  A plain
+    # triangle is one cycle and is counted with them.
+    rng = random.Random(4242)
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for n, base, cycles in [(3, triangle, 1), (3, triangle + [(0, 1)], 0),
+                            *((n, fan_polygon(n), 0) for n in (4, 5, 6, 7))]:
+        for loops in (1, 2, 3):
+            g = shuffle_labels(rng, n, base + [(v, v) for v in rng.choices(range(n), k=loops)])
+            h, names, ones = _shorten(g)
+            assert ones == loops + cycles
+            assert (h is g and names is None) == (not cycles)
+            assert flow_outerplanar(g) == oracle_flow(g, force=True, memoize=True)
 
 
 @SETTINGS

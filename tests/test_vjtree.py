@@ -114,12 +114,32 @@ def test_strip_bridges_cases():
     # pendant past the joined span hangs off every cycle
     red = strip_bridges(VertexJoinTree(4, ((0, 1), (1, 2), (2, 3)), {0: 1, 2: 1}))
     assert red.b == 1
-    assert red.removed == frozenset({3})
     assert red.core.tree_edges == ((0, 1), (1, 2))
     # star with one unjoined leaf
     star = VertexJoinTree(4, ((0, 1), (0, 2), (0, 3)), {1: 1, 2: 1})
     red = strip_bridges(star)
-    assert red.b == 1 and red.removed == frozenset({3})
+    assert red.b == 1 and red.core.n == 3 and red.core.mult == {1: 1, 2: 1}
+
+
+def test_strip_bridges_one_join():
+    # With one joined vertex no tree edge lies on a cycle: the core is
+    # that vertex alone and every edge is a bridge.
+    rng = random.Random(99)
+    for n in (1, 2, 5, 12):
+        edges = tuple((rng.randrange(i), i) for i in range(1, n))
+        v = rng.randrange(n)
+        red = strip_bridges(VertexJoinTree(n, edges, {v: 3}))
+        assert red.b == n - 1
+        assert red.core == VertexJoinTree(1, (), {0: 3})
+
+
+def test_strip_bridges_needs_a_joined_vertex():
+    with pytest.raises(InvalidTree):
+        strip_bridges(path3({}))
+    with pytest.raises(InvalidTree):
+        strip_bridges(VertexJoinTree(1, (), {}))
+    for mult in ({0: 1}, {1: 2}, {0: 1, 2: 1}, {0: 1, 1: 1, 2: 1}):
+        strip_bridges(path3(mult))
 
 
 def test_build_leveled_paths_and_star():
@@ -171,9 +191,8 @@ def test_root_independence():
     t = VertexJoinTree(6, ((0, 1), (1, 2), (2, 3), (2, 4), (4, 5)), {1: 1, 3: 2, 5: 1})
     red = strip_bridges(reduce_multiplicities(t))
     expected = None
-    for root in red.core_ids:
-        local = {v: i for i, v in enumerate(red.core_ids)}
-        lt = build_leveled(red.core, root=local[root])
+    for root in range(red.core.n):
+        lt = build_leveled(red.core, root=root)
         got = sweep(lt, red.core)
         if expected is None:
             expected = got
@@ -319,7 +338,7 @@ def test_flow_of_triangulated_polygons():
         got = flow_outerplanar(shuffle_labels(rng, n, edges))
         if n <= 20:
             assert got == oracle_flow(MultiGraph(n, edges), force=True, memoize=True)
-        dual, _ = build_dual(find_outer_cycle(MultiGraph(n, edges)))
+        dual = build_dual(find_outer_cycle(MultiGraph(n, edges)))
         if n > 3:
             red = strip_bridges(dual)
             assert T * got == sweep(build_leveled(red.core), red.core) * TM1**red.b

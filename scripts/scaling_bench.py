@@ -18,6 +18,12 @@ entry joined with probability 1/2; its rows are the same as for tree.
 of the vertices, picked at random, joined to the apex; its rows are
 the same as for tree.
 
+For tree and clique, each row also gives what a user of the command
+line waits for: the best time of `chromaflow chromatic tree` (on the
+instance written as a .vjt file) or `chromaflow chromatic clique`,
+run in this process through cli.run with stdout captured, and the
+bytes it prints.
+
 --family outerplanar times flow_outerplanar on one polygon per size
 with n/200 non-crossing chords and shuffled vertex labels, where the
 graph work (blocks, outer-cycle certificate, dual) carries the load;
@@ -34,8 +40,9 @@ tree, with the largest coefficient of the flow polynomial.
 --json also writes the rows to BENCH_scaling-<family>.json in the
 current directory, or BENCH_scaling-<family>-<label>.json with
 --label: one row per size with n, the best seconds, the ratio to the
-previous row (null on the first) and the maximum coefficient bits
-(null for outerplanar), next to the machine, its CPU count, the
+previous row (null on the first), the maximum coefficient bits
+(null for outerplanar), and cli_seconds and output_bytes (null but
+for tree and clique), next to the machine, its CPU count, the
 Python version, the seed and the repeat count.  The package is
 imported as Python finds it, so PYTHONPATH=<checkout>/src times
 another checkout.
@@ -44,12 +51,16 @@ another checkout.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import random
+import tempfile
 import time
 
+from chromaflow.cli import run
 from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_labels, triangulated_polygon
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
@@ -113,6 +124,36 @@ def fan(rng: random.Random, n: int) -> MultiGraph:
     return shuffle_labels(rng, n, fan_polygon(n))
 
 
+def tree_argv(t: VertexJoinTree, workdir: str) -> list[str]:
+    """`chromatic tree` on t, written to a .vjt file in workdir."""
+    path = os.path.join(workdir, f"tree{t.n}.vjt")
+    lines = [f"vjt {t.n}", *(f"edge {u + 1} {v + 1}" for u, v in t.tree_edges)]
+    lines += [f"join {v + 1} {m}" for v, m in sorted(t.mult.items())]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return ["chromatic", "tree", path]
+
+
+def clique_argv(instance: tuple[int, dict[int, int]], workdir: str) -> list[str]:
+    """`chromatic clique` on (n, mult); it needs no file."""
+    n, mult = instance
+    return ["chromatic", "clique", "--n", str(n), "--join", ",".join(str(v + 1) for v in mult)]
+
+
+def time_cli(argv: list[str], repeat: int) -> tuple[float, int]:
+    """Best seconds of cli.run(argv) with stdout captured, and the bytes it prints."""
+    best = float("inf")
+    for _ in range(repeat):
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+        best = min(best, time.perf_counter() - t0)
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv[:2])} exited {code}")
+    return best, len(out.getvalue().encode())
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
@@ -134,25 +175,34 @@ def main() -> None:
                "fan": flow_outerplanar, "wheel": chromatic_wheel,
                "clique": lambda nm: chromatic_clique_join(*nm)}.get(args.family, chromatic_vjtree)
     show_bits = args.family != "outerplanar"
+    argv_of = {"tree": tree_argv, "clique": clique_argv}.get(args.family)
 
     rng = random.Random(args.seed)
-    print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else ""))
+    print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else "")
+          + (f" {'cli seconds':>12} {'output bytes':>13}" if argv_of else ""))
     prev = None
     rows = []
-    for n in sizes:
-        instance = make(rng, n)
-        best = float("inf")
-        poly = None
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            poly = compute(instance)
-            best = min(best, time.perf_counter() - t0)
-        ratio = best / prev if prev else None
-        bits = max(abs(c).bit_length() for c in poly.coeffs) if show_bits else None
-        print(f"{n:>8} {best:>10.3f} " + (f"{ratio:7.2f}" if prev else f"{'-':>7}")
-              + (f" {bits:>15}" if show_bits else ""))
-        rows.append({"n": n, "seconds": best, "ratio": ratio, "max_coeff_bits": bits})
-        prev = best
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in sizes:
+            instance = make(rng, n)
+            best = float("inf")
+            poly = None
+            for _ in range(args.repeat):
+                t0 = time.perf_counter()
+                poly = compute(instance)
+                best = min(best, time.perf_counter() - t0)
+            ratio = best / prev if prev else None
+            bits = max(abs(c).bit_length() for c in poly.coeffs) if show_bits else None
+            del poly
+            cli_seconds = output_bytes = None
+            if argv_of:
+                cli_seconds, output_bytes = time_cli(argv_of(instance, workdir), args.repeat)
+            print(f"{n:>8} {best:>10.3f} " + (f"{ratio:7.2f}" if prev else f"{'-':>7}")
+                  + (f" {bits:>15}" if show_bits else "")
+                  + (f" {cli_seconds:>12.3f} {output_bytes:>13}" if argv_of else ""))
+            rows.append({"n": n, "seconds": best, "ratio": ratio, "max_coeff_bits": bits,
+                         "cli_seconds": cli_seconds, "output_bytes": output_bytes})
+            prev = best
 
     if args.json:
         name = f"BENCH_scaling-{args.family}" + (f"-{args.label}" if args.label else "") + ".json"

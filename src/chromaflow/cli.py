@@ -6,6 +6,13 @@ as one line of ascending decimal coefficients (`poly c0 c1 ... cd`,
 zero polynomial as `poly 0`); `--eval t1,t2,...` appends exact
 integer evaluations.  Exit codes: 0 ok, 1 domain error, 2 parse or
 usage error.  Identical inputs give byte-identical output.
+
+The output is Theta(n^2) bits of decimal text.  Trees, cliques and
+outerplanar graphs end in one product, which the Kronecker multiply
+already holds as decimal digits, one slot per coefficient, so they
+print from those slots (polyring._decimals) with string operations
+alone; only --eval reads the product back into ints.  Wheels and the
+oracle print from their IntPoly.
 """
 
 from __future__ import annotations
@@ -17,20 +24,14 @@ import sys
 from .errors import ChromaflowError, InvalidSize, InvalidVertex, NotOuterplanar, ParseError
 from .multigraph import MultiGraph
 from .oracle import oracle_chromatic, oracle_flow
-from .outerplanar import flow_outerplanar
-from .polyring import IntPoly, _digits, _digits_to_int
-from .vjtree import VertexJoinTree, chromatic_vjtree
-from .wheels import (
-    PhiString,
-    chromatic_clique_join,
-    chromatic_wheel,
-    flow_wheel,
-    phi_dual,
-)
+from . import outerplanar, vjtree
+from .polyring import IntPoly, _decimals, _digits, _digits_to_int, _Packed, _read
+from .vjtree import VertexJoinTree
+from .wheels import PhiString, _clique_top, chromatic_wheel, flow_wheel, phi_dual
 
 # Size limits checked before anything is allocated for the input.
-# On a 2-core Xeon VM, chromatic clique --n 4096 takes about 18 s and
-# 250 MB and prints 31 MB.
+# On a 2-core Xeon VM, chromatic clique --n 4096 with a quarter of the
+# vertices joined takes about 10 s and 220 MB and prints 31 MB.
 MAX_CLIQUE_N = 4096
 # A .gr header's vertex count; the graph keeps a few lists of this length.
 MAX_GR_VERTICES = 1_000_000
@@ -178,7 +179,9 @@ def parse_gr_file(path: str) -> MultiGraph:
         raise ParseError(f"{path}: {exc}")
 
 
-def format_poly(p: IntPoly) -> str:
+def format_poly(p: IntPoly | _Packed) -> str:
+    if isinstance(p, _Packed):
+        return "poly " + " ".join(_decimals(p))
     if p.is_zero():
         return "poly 0"
     return "poly " + " ".join(_digits(c) for c in p.coeffs)
@@ -272,7 +275,7 @@ def _dual_phi_arg(text: str) -> PhiString:
 def _dispatch(args) -> list[str]:
     cmd = (args.command, args.subcommand)
     if cmd == ("chromatic", "tree"):
-        poly = chromatic_vjtree(parse_vjt_file(args.file))
+        poly = vjtree._top(parse_vjt_file(args.file))
     elif cmd == ("chromatic", "clique"):
         if args.n > MAX_CLIQUE_N:
             raise InvalidSize(f"clique of {args.n} vertices exceeds the limit {MAX_CLIQUE_N}")
@@ -281,7 +284,7 @@ def _dispatch(args) -> list[str]:
             if not 0 < v <= args.n:
                 raise InvalidVertex(f"joined vertex {v} outside 1..{args.n}")
             mult[v - 1] = mult.get(v - 1, 0) + 1
-        poly = chromatic_clique_join(args.n, mult)
+        poly = _clique_top(args.n, mult)
     elif cmd == ("chromatic", "wheel"):
         phi = _phi_arg(args.phi)
         if phi.n > MAX_PHI_LENGTH:
@@ -289,7 +292,7 @@ def _dispatch(args) -> list[str]:
         poly = chromatic_wheel(phi)
     elif cmd == ("flow", "outerplanar"):
         try:
-            poly = flow_outerplanar(parse_gr_file(args.file))
+            poly = outerplanar._top(parse_gr_file(args.file))
         except NotOuterplanar as exc:
             # Name the vertices as the file numbers them, from 1.
             raise NotOuterplanar(exc.template, *(v + 1 for v in exc.vertices)) from None
@@ -307,6 +310,7 @@ def _dispatch(args) -> list[str]:
 
     lines = [format_poly(poly)]
     if args.eval_points:
+        poly = _read(poly)
         for t in _int_list(args.eval_points, "--eval", _to_int):
             lines.append(f"eval {_digits(t)} {_digits(poly.evaluate(t))}")
     return lines

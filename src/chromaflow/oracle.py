@@ -9,11 +9,13 @@ code simple enough to audit line by line.
 The recursions are exponential.  A soft size guard raises TooLarge
 unless force=True; optional memoization (off by default) makes the
 equivalence suites affordable without touching the rewrite rules.  A
-recursion deeper than the interpreter allows also raises TooLarge.
+recursion deeper than the interpreter allows also raises TooLarge; the
+flow oracle knows its depth up front and refuses before any work.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 from .errors import TooLarge
@@ -75,6 +77,11 @@ def oracle_flow(g: MultiGraph, *, force: bool = False, memoize: bool = False) ->
     """
     if g.m > FLOW_EDGE_GUARD and not force:
         raise TooLarge(f"{g.m} edges exceeds soft guard {FLOW_EDGE_GUARD}")
+    # Contraction and loop deletion keep a graph bridgeless, and each
+    # level of the first branch removes one edge, so a bridgeless graph
+    # recurses m levels deep.
+    if g.m >= sys.getrecursionlimit() and not g.bridges():
+        raise TooLarge(f"{g.m} edges: deletion-contraction recursion too deep")
     try:
         return _flow(g, {} if memoize else None)
     except RecursionError:

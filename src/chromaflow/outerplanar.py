@@ -64,7 +64,7 @@ from typing import Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph, _walk_blocks
-from .polyring import ZERO, IntPoly, balanced_product, linear_power
+from .polyring import ZERO, IntPoly, _Packed, _product, _read, linear_power
 from .vjtree import VertexJoinTree, _factors
 
 Edge = tuple[int, int]
@@ -367,6 +367,11 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
     dual: F = P(dual) / t per block, whose factors vjtree._factors
     names.  All factors meet in one balanced product.
     """
+    return _read(_top(g))
+
+
+def _top(g: MultiGraph) -> IntPoly | _Packed:
+    # flow_outerplanar's product, packed when it is wide.
     h, names, ones = _shorten(g)
     blocks, order = _walk_blocks(h, True)
     if any(len(pairs) == 1 for _, pairs in blocks):
@@ -381,4 +386,4 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
             label[d] = i
         edges = [(label[a], label[b]) for a, b in pairs]
         factors += _factors(build_dual(_certify(len(times), edges, [order[d] for d in times])))
-    return balanced_product(factors)
+    return _product(factors)

@@ -12,6 +12,9 @@ off when both operands are long, so dispatch is on the smaller
 operand's length.  The Kronecker path turns wide ints into digits
 through Decimal and reads digits back in pieces short enough for any
 sys.set_int_max_str_digits setting, so it works whatever that limit is.
+One decoder turns the slots of a packed product into the decimal text
+of each coefficient by string operations alone; the command line
+prints that text, and the read-back converts it into ints.
 
 Powers of a linear factor, (t - a)^k, come from their binomial row
 (linear_power) in O(k) small-integer steps; the closed forms and the
@@ -50,6 +53,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _SAFE_DIGITS = 640
 _SAFE_BITS = 2000  # 2^2000 < 10^640
 _NINES = str.maketrans("0123456789", "9876543210")
+_NEXT = dict(zip("012345678", "123456789"))
 
 
 class IntPoly:
@@ -315,17 +319,48 @@ def _slots(digits: str, w: int) -> Iterator[tuple[str, bool]]:
         yield slot, borrow
 
 
+def _decimals(p: _Packed) -> Iterator[str]:
+    # str(c_k) for each coefficient, least significant first, by string
+    # operations alone.  A slot of c >= 0 reads c less the borrow from
+    # the slot below; a slot of c < 0 reads 10^w + c less that borrow,
+    # so -c is its nines' complement plus one unless the borrow came
+    # in.  An all-nines slot with a borrow in is c = 0, printed "0".
+    plus, minus = ("-", "") if p.negative else ("", "-")
+    borrow = False
+    for slot, below_zero in _slots(p.digits, p.w):
+        if below_zero:
+            digits = slot.translate(_NINES).lstrip("0")
+            sign = minus
+            if not borrow:
+                digits = _plus_one(digits)
+        else:
+            digits = slot.lstrip("0")
+            sign = plus
+            if borrow:
+                digits = _plus_one(digits)
+        borrow = below_zero
+        yield sign + digits if digits else "0"
+
+
+def _plus_one(digits: str) -> str:
+    # The digits of int(digits or "0") + 1, for digits with no leading
+    # zero.
+    head = digits.rstrip("9")
+    if not head:
+        return "1" + "0" * len(digits)
+    return head[:-1] + _NEXT[head[-1]] + "0" * (len(digits) - len(head))
+
+
 def _unpack(p: _Packed) -> list[int]:
-    base = 10**p.w
     powers: dict[int, int] = {}
     out = []
-    borrow = 0
-    for slot, below_zero in _slots(p.digits, p.w):
-        c = _digits_to_int(slot, powers) + borrow
-        if below_zero:
-            c -= base
-        out.append(-c if p.negative else c)
-        borrow = below_zero
+    for s in _decimals(p):
+        if len(s) <= _SAFE_DIGITS:
+            out.append(int(s))
+        elif s[0] == "-":
+            out.append(-_digits_to_int(s[1:], powers))
+        else:
+            out.append(_digits_to_int(s, powers))
     return out
 
 
@@ -389,6 +424,12 @@ def balanced_product(factors: Iterable[IntPoly]) -> IntPoly:
     is widened as digits for the next multiply rather than read back
     into ints and packed again.
     """
+    return _read(_product(factors))
+
+
+def _product(factors: Iterable[IntPoly]) -> IntPoly | _Packed:
+    # balanced_product before its read-back: a packed top stays packed,
+    # so the CLI can print it from its digits.
     tie = count()
     heap: list[tuple[int, int, IntPoly | _Packed]] = [
         (len(p.coeffs), next(tie), p) for p in factors
@@ -406,8 +447,18 @@ def balanced_product(factors: Iterable[IntPoly]) -> IntPoly:
             r = _merge(p, q)
             size = r.n
         heappush(heap, (size, next(tie), r))
-    top = heap[0][2]
+    return heap[0][2]
+
+
+def _read(top: IntPoly | _Packed) -> IntPoly:
     return top if isinstance(top, IntPoly) else IntPoly(_unpack(top))
+
+
+def _times_t(top: IntPoly | _Packed) -> IntPoly | _Packed:
+    # t * top; a packed top gains a zero slot at the bottom.
+    if isinstance(top, IntPoly):
+        return IntPoly((0, *top.coeffs))
+    return top._replace(digits=top.digits + "0" * top.w, n=top.n + 1)
 
 
 def _merge(p: IntPoly | _Packed, q: IntPoly | _Packed) -> _Packed:

@@ -28,9 +28,11 @@ With b bridges,
 
   P / t = (t-1)^(b+1) * prod D_(m+1) * prod pt'(branching brick).
 
-_factors returns these factors unmultiplied.  chromatic_vjtree takes
-one balanced_product of them and shifts it by t; an outerplanar block's
-flow is P(dual)/t, so flow_outerplanar multiplies them as they are.
+_factors returns these factors unmultiplied.  _top takes one product
+of them and shifts it by t, still packed when the product is wide, so
+the CLI can print it from its digits; chromatic_vjtree reads it back.
+An outerplanar block's flow is P(dual)/t, so flow_outerplanar
+multiplies the factors as they are.
 
 A branching brick is rooted at an unjoined vertex.  For an unjoined
 vertex a let T_a be the subgraph on a, its descendants and the apex,
@@ -65,7 +67,18 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSize, InvalidTree, InvalidVertex
 from .multigraph import MultiGraph
-from .polyring import T, ZERO, IntPoly, _face_factors, balanced_product, linear_power
+from .polyring import (
+    T,
+    ZERO,
+    IntPoly,
+    _face_factors,
+    _Packed,
+    _product,
+    _read,
+    _times_t,
+    balanced_product,
+    linear_power,
+)
 
 _TM2 = IntPoly((-2, 1))
 
@@ -313,7 +326,12 @@ def _dot(xs: Sequence[IntPoly], ys: Sequence[IntPoly]) -> IntPoly:
 
 def chromatic_vjtree(t: VertexJoinTree) -> IntPoly:
     """Chromatic polynomial of the realized join, exactly."""
-    return IntPoly((0, *balanced_product(_factors(t)).coeffs))
+    return _read(_top(t))
+
+
+def _top(t: VertexJoinTree) -> IntPoly | _Packed:
+    # P: the product of P/t's factors, shifted by t.
+    return _times_t(_product(_factors(t)))
 
 
 def _factors(t: VertexJoinTree) -> list[IntPoly]:

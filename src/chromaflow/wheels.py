@@ -52,8 +52,10 @@ from .polyring import (
     T,
     IntPoly,
     _face_factors,
+    _Packed,
+    _product,
+    _read,
     balanced_product,
-    chromatic_complete,
     chromatic_cycle,
 )
 
@@ -127,6 +129,12 @@ def chromatic_clique_join(n: int, mult: Mapping[int, int]) -> IntPoly:
     Joined vertices force distinct colors on the apex's neighborhood,
     so the apex sees s forbidden colors: (t - s) * P(K_n).
     """
+    return _read(_clique_top(n, mult))
+
+
+def _clique_top(n: int, mult: Mapping[int, int]) -> IntPoly | _Packed:
+    # One product of (t - s) and the n factors t - i of P(K_n), packed
+    # when it is wide.
     if n < 1:
         raise InvalidSize(f"clique needs n >= 1, got {n}")
     s = 0
@@ -137,7 +145,7 @@ def chromatic_clique_join(n: int, mult: Mapping[int, int]) -> IntPoly:
             raise InvalidSize(f"multiplicity of vertex {v} is negative")
         if m:
             s += 1
-    return IntPoly((-s, 1)) * chromatic_complete(n)
+    return _product([IntPoly((-s, 1)), *(IntPoly((-i, 1)) for i in range(n))])
 
 
 def chromatic_wheel(phi: PhiString) -> IntPoly:

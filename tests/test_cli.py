@@ -6,17 +6,23 @@ import random
 import re
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 
 import pytest
 
 import chromaflow.cli as cli
+import chromaflow.outerplanar as outerplanar
+import chromaflow.vjtree as vjtree
 import chromaflow.wheels as wheels
 from chromaflow.cli import format_poly, parse_gr_file, parse_vjt_file, run
 from chromaflow.errors import NotOuterplanar, ParseError
+from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_labels, triangulated_polygon
+from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
-from chromaflow.polyring import IntPoly, ZERO
-from chromaflow.wheels import PhiString
+from chromaflow.polyring import FAST_MUL_CUTOFF, IntPoly, ZERO, _Packed
+from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
+from chromaflow.wheels import PhiString, chromatic_clique_join
 
 
 def invoke(capsys, *argv):
@@ -279,6 +285,100 @@ def test_gr_file_errors(tmp_path, capsys):
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
 
+def _poly_line(p: IntPoly) -> str:
+    return "poly " + (" ".join(map(str, p.coeffs)) if p.coeffs else "0")
+
+
+def _vjt_text(t: VertexJoinTree) -> str:
+    lines = [f"vjt {t.n}", *(f"edge {u + 1} {v + 1}" for u, v in t.tree_edges)]
+    lines += [f"join {v + 1} {m}" for v, m in sorted(t.mult.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _gr_text(g: MultiGraph) -> str:
+    return f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges)
+
+
+# Sizes on both sides of the fast multiply's cutoff, and well past it.
+CUTOFF_SIZES = (FAST_MUL_CUTOFF - 1, FAST_MUL_CUTOFF, FAST_MUL_CUTOFF + 1, 200)
+EVAL = "--eval=-3,0,2,7,1000"
+
+
+def _cutoff_corpus(rng: random.Random, tmp_path) -> list[tuple[list[str], IntPoly, object]]:
+    # (argv, library polynomial, top the CLI prints) per input.
+    cases = []
+
+    def tree(t: VertexJoinTree) -> None:
+        path = write(tmp_path, f"t{len(cases)}.vjt", _vjt_text(t))
+        cases.append((["chromatic", "tree", path], chromatic_vjtree(t), vjtree._top(t)))
+
+    def clique(n: int, join: list[int]) -> None:
+        mult = {v - 1: join.count(v) for v in join}
+        argv = ["chromatic", "clique", "--n", str(n)] + (["--join", ",".join(map(str, join))] if join else [])
+        cases.append((argv, chromatic_clique_join(n, mult), wheels._clique_top(n, mult)))
+
+    def graph(g: MultiGraph) -> None:
+        path = write(tmp_path, f"g{len(cases)}.gr", _gr_text(g))
+        cases.append((["flow", "outerplanar", path], flow_outerplanar(g), outerplanar._top(g)))
+
+    for c in CUTOFF_SIZES:
+        # Two factors of c coefficients each: a path brick of c edges
+        # (D_c) and the bridge row of c - 2 pendant vertices; and two
+        # bundles of c edges at a cut vertex (the flows of two bonds).
+        path = [(v, v + 1) for v in range(c - 1)]
+        tree(VertexJoinTree(2 * c - 2, tuple(path + [(0, v) for v in range(c, 2 * c - 2)]),
+                            {0: 1, c - 1: 2}))
+        graph(shuffle_labels(rng, 3, [(0, 1)] * c + [(1, 2)] * c))
+        tree(random_caterpillar(rng, c))
+        tree(VertexJoinTree(c, tuple((rng.randrange(v), v) for v in range(1, c)),
+                            {v: rng.randint(1, 3) for v in rng.sample(range(c), c // 4)}))
+        clique(c, [rng.randint(1, c) for _ in range(rng.randint(1, c))])
+        for edges in (triangulated_polygon(rng, c), fan_polygon(c)):
+            graph(shuffle_labels(rng, c, edges + [(0, 0), (1, 2)]))
+    # Cliques whose last product goes from ints to packed digits.
+    for n in range(105, 115):
+        clique(n, [rng.randint(1, n) for _ in range(n // 4)])
+    # A bridge, a clique with no join and one-vertex cliques.
+    graph(MultiGraph(52, fan_polygon(51) + [(50, 51)]))
+    clique(200, [])
+    clique(1, [])
+    clique(1, [1, 1])
+    return cases
+
+
+def test_cli_prints_the_library_polynomial(tmp_path, capsys):
+    # Trees, cliques and outerplanar graphs print from the packed digits
+    # of their last product; the line must be str() of the library's
+    # coefficients, and --eval must read the same polynomial back.
+    cases = _cutoff_corpus(random.Random(20), tmp_path)
+    for family in ("tree", "clique", "outerplanar"):
+        packed = {isinstance(top, _Packed) for argv, _, top in cases if argv[1] == family}
+        assert packed == {False, True}, family
+    assert any(not poly for _, poly, _ in cases)
+    for argv, poly, _ in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == _poly_line(poly) + "\n", argv
+        code, out, err = invoke(capsys, *argv, EVAL)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [_poly_line(poly), *(f"eval {x} {poly.evaluate(x)}"
+                                                         for x in (-3, 0, 2, 7, 1000))]
+
+
+@needs_digit_limit
+def test_wide_clique_prints_under_the_smallest_digit_limit(capsys):
+    # Coefficients past 2000 bits, where str(int) would need Decimal.
+    mult = {v: 1 for v in range(0, 1152, 3)}
+    join = ",".join(str(v + 1) for v in mult)
+    with int_digit_limit(640):
+        code, out, err = invoke(capsys, "chromatic", "clique", "--n", "1152", "--join", join)
+    assert (code, err) == (0, "")
+    poly = chromatic_clique_join(1152, mult)
+    assert max(c.bit_length() for c in poly.coeffs) > 2000
+    with int_digit_limit(0):
+        assert out == _poly_line(poly) + "\n"
+
+
 def test_parse_helpers_roundtrip(tmp_path):
     t = parse_vjt_file(write(tmp_path, "t.vjt", VJT_SQUARE))
     assert t.n == 4 and t.mult == {0: 1, 2: 1}
@@ -400,7 +500,7 @@ def test_clique_size_guard(monkeypatch, capsys):
         calls.append(n)
         return IntPoly((1,))
 
-    monkeypatch.setattr(cli, "chromatic_clique_join", fake_clique)
+    monkeypatch.setattr(cli, "_clique_top", fake_clique)
     code, out, err = invoke(capsys, "chromatic", "clique", "--n", str(cli.MAX_CLIQUE_N + 1))
     assert code == 1 and out == "" and calls == []
     assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1
@@ -439,6 +539,21 @@ def test_deep_oracle_recursion_is_one_line(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
     assert sys.getrecursionlimit() == limit
+
+
+def test_deep_flow_oracle_refuses_before_recursing(tmp_path, capsys):
+    # A bridgeless graph recurses one level per edge, so the flow oracle
+    # refuses a 1200-cycle up front; with a pendant edge it is zero.
+    n = 1200
+    cycle = "".join(f"e {i + 1} {(i + 1) % n + 1}\n" for i in range(n))
+    path = write(tmp_path, "c.gr", f"p edge {n} {n}\n" + cycle)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "oracle", "flow", path, "--force")
+    assert time.perf_counter() - start < 0.3
+    assert (code, out) == (1, "")
+    assert err == f"error: TooLarge: {n} edges: deletion-contraction recursion too deep\n"
+    bridged = write(tmp_path, "b.gr", f"p edge {n + 1} {n + 1}\n" + cycle + f"e {n} {n + 1}\n")
+    assert invoke(capsys, "oracle", "flow", bridged, "--force") == (0, "poly 0\n", "")
 
 
 def test_phi_total_guard(monkeypatch, capsys):

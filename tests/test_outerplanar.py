@@ -153,7 +153,7 @@ def test_one_product_per_graph(monkeypatch):
 
     # The block duals below have no branching brick, so vjtree takes no
     # product of its own either.
-    monkeypatch.setattr(outerplanar, "balanced_product", counting)
+    monkeypatch.setattr(outerplanar, "_product", counting)
     monkeypatch.setattr(vjtree, "balanced_product", counting)
     # Three blocks at cut vertices 2 and 4: a triangle with a doubled
     # side, a square with a chord and a digon, plus a loop at 0.

@@ -17,8 +17,13 @@ from chromaflow.polyring import (
     T,
     ZERO,
     IntPoly,
+    _decimals,
     _merge,
     _mul_schoolbook,
+    _Packed,
+    _product,
+    _read,
+    _times_t,
     _unpack,
     balanced_product,
     chromatic_complete,
@@ -205,6 +210,60 @@ def test_balanced_product_matches_sequential(chunks):
 
 def test_balanced_product_empty_is_one():
     assert balanced_product([]) == ONE
+
+
+def _random_coeffs(rng: random.Random, length: int, bits: int, zeros: float) -> list[int]:
+    cs = [0 if rng.random() < zeros else rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+    cs[-1] = cs[-1] or rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    return cs
+
+
+def test_decimals_match_ints():
+    # The slot decoder prints what str() prints of the read-back ints
+    # and of the schoolbook product: zeros after negative coefficients
+    # (an all-nines slot with a borrow in), negative leading
+    # coefficients, 1- to 200-bit coefficients and one-slot products.
+    rng = random.Random(2026)
+    seen = {"zero after negative": 0, "negative": 0, "one slot": 0}
+    for i in range(3000):
+        bits = rng.randint(1, 200)
+        n, m = (1, 1) if i % 10 == 0 else (rng.randint(1, 40), rng.randint(1, 40))
+        a = _random_coeffs(rng, n, bits, 0.3)
+        b = _random_coeffs(rng, m, rng.randint(1, 200), 0.3)
+        packed = _merge(IntPoly(a), IntPoly(b))
+        decimals = list(_decimals(packed))
+        assert decimals == [str(c) for c in _unpack(packed)]
+        expect = _mul_schoolbook(a, b)
+        assert decimals == [str(c) for c in expect]
+        assert "-0" not in decimals
+        # The packed value's own signs: all of them flipped when it is
+        # negative.
+        sign = -1 if packed.negative else 1
+        seen["zero after negative"] += any(sign * x < 0 and y == 0 for x, y in zip(expect, expect[1:]))
+        seen["negative"] += packed.negative
+        seen["one slot"] += packed.n == 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_decimals_zero_slot_after_borrow():
+    # (-5, 0, 15): slot 1 reads all nines with the borrow of slot 0.
+    packed = _merge(IntPoly((5,)), IntPoly((-1, 0, 3)))
+    w = packed.w
+    assert packed.digits[w : 2 * w] == "9" * w
+    assert list(_decimals(packed)) == ["-5", "0", "15"]
+    negated = _merge(IntPoly((-5,)), IntPoly((-1, 0, 3)))
+    assert negated.negative
+    assert list(_decimals(negated)) == ["5", "0", "-15"]
+
+
+@pytest.mark.parametrize("factors", [LONG_FACTORS, [[2, -1]] * 3, [[7]]])
+def test_product_read_back_and_shift(factors):
+    polys = [IntPoly(c) for c in factors]
+    top = _product(polys)
+    assert isinstance(top, _Packed) == (factors is LONG_FACTORS)
+    assert _read(top) == balanced_product(polys)
+    assert _read(_times_t(top)) == T * balanced_product(polys)
+    assert _times_t(ZERO) == ZERO
 
 
 @SETTINGS

@@ -18,16 +18,18 @@ entry joined with probability 1/2; its rows are the same as for tree.
 of the vertices, picked at random, joined to the apex; its rows are
 the same as for tree.
 
-For tree and clique, each row also gives what a user of the command
-line waits for: the best time of `chromaflow chromatic tree` (on the
-instance written as a .vjt file) or `chromaflow chromatic clique`,
-run in this process through cli.run with stdout captured, and the
-bytes it prints.
+For tree, clique, outerplanar, triangulated and fan, each row also
+gives what a user of the command line waits for: the best time of
+`chromaflow chromatic tree` (on the instance written as a .vjt file),
+`chromaflow chromatic clique` or `chromaflow flow outerplanar` (on the
+graph written as a .gr file), run in this process through cli.run
+with stdout captured, and the bytes it prints.
 
 --family outerplanar times flow_outerplanar on one polygon per size
 with n/200 non-crossing chords and shuffled vertex labels, where the
 graph work (blocks, outer-cycle certificate, dual) carries the load;
-its rows give n, seconds and the ratio.
+its rows give n, seconds and the ratio, then the command line's time
+and bytes.
 
 --family triangulated times flow_outerplanar on polygons triangulated
 by cutting ears at random (each step joins the two neighbours of a
@@ -41,8 +43,8 @@ tree, with the largest coefficient of the flow polynomial.
 current directory, or BENCH_scaling-<family>-<label>.json with
 --label: one row per size with n, the best seconds, the ratio to the
 previous row (null on the first), the maximum coefficient bits
-(null for outerplanar), and cli_seconds and output_bytes (null but
-for tree and clique), next to the machine, its CPU count, the
+(null for outerplanar), and cli_seconds and output_bytes (null for
+bridged and wheel), next to the machine, its CPU count, the
 Python version, the seed and the repeat count.  The package is
 imported as Python finds it, so PYTHONPATH=<checkout>/src times
 another checkout.
@@ -134,6 +136,15 @@ def tree_argv(t: VertexJoinTree, workdir: str) -> list[str]:
     return ["chromatic", "tree", path]
 
 
+def gr_argv(g: MultiGraph, workdir: str) -> list[str]:
+    """`flow outerplanar` on g, written to a .gr file in workdir."""
+    path = os.path.join(workdir, f"graph{g.n}.gr")
+    lines = [f"p edge {g.n} {g.m}", *(f"e {u + 1} {v + 1}" for u, v in g.edges)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return ["flow", "outerplanar", path]
+
+
 def clique_argv(instance: tuple[int, dict[int, int]], workdir: str) -> list[str]:
     """`chromatic clique` on (n, mult); it needs no file."""
     n, mult = instance
@@ -175,7 +186,8 @@ def main() -> None:
                "fan": flow_outerplanar, "wheel": chromatic_wheel,
                "clique": lambda nm: chromatic_clique_join(*nm)}.get(args.family, chromatic_vjtree)
     show_bits = args.family != "outerplanar"
-    argv_of = {"tree": tree_argv, "clique": clique_argv}.get(args.family)
+    argv_of = {"tree": tree_argv, "clique": clique_argv, "outerplanar": gr_argv,
+               "triangulated": gr_argv, "fan": gr_argv}.get(args.family)
 
     rng = random.Random(args.seed)
     print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else "")

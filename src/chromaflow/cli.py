@@ -75,19 +75,25 @@ def _int_list(text: str, what: str, to_int=int) -> list[int]:
         raise ParseError(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
-def _lines(path: str):
-    # (line number, text, tokens) of each non-blank line of a UTF-8
-    # file, with `#` comments cut off; the text is for error messages.
-    # A text-mode read turns \r\n and \r into \n, so lines break where
-    # iterating over the file breaks them; str.splitlines() would also
-    # break at \x0b, \x1c, \x85, U+2028 and more.
+def _text(path: str) -> str:
+    # The whole of a UTF-8 file.  A text-mode read turns \r\n and \r
+    # into \n, so lines break where iterating over the file breaks them.
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text")
+
+
+def _lines(text: str):
+    # (line number, text, tokens) of each non-blank line, with `#`
+    # comments cut off; the text is for error messages.  Every .vjt file
+    # is read through it, and every .gr file that parse_gr_file's chunk
+    # pass cannot vouch for, so that an error names its line.  Lines
+    # break at \n alone; str.splitlines() would also break at \x0b,
+    # \x1c, \x85, U+2028 and more.
     comments = "#" in text
     for lineno, line in enumerate(text.split("\n"), start=1):
         if comments:
@@ -111,7 +117,7 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
     n = None
     edges: list[tuple[int, int]] = []
     mult: dict[int, int] = {}
-    for lineno, line, tok in _lines(path):
+    for lineno, line, tok in _lines(_text(path)):
         try:
             if tok[0] == "edge" and len(tok) == 3 and n is not None:
                 u, v = int(tok[1]), int(tok[2])
@@ -146,16 +152,78 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
 
 
 def parse_gr_file(path: str) -> MultiGraph:
-    """DIMACS-like: `p edge n m` header then m `e u v` lines, 1-indexed."""
+    """DIMACS-like: `p edge n m` header then m `e u v` lines, 1-indexed.
+
+    The file is read once.  When its first line is the header and each
+    of the m lines after it (a final empty one aside) opens with "e ",
+    a chunk pass reads the records a chunk of tokens at a time; any
+    other file, and one whose records the chunk pass refuses, goes
+    through the line walk on the same text, which accepts comments,
+    blank lines and other spacing and names the first bad line.  Both
+    give the same graph and the same messages.
+    """
+    text = _text(path)
+    read = _gr_chunks(text)
+    if read is None:
+        read = _gr_walk(path, text)
+    return MultiGraph._trusted(*read)
+
+
+# The chunk pass splits about this many characters of records at a time,
+# cut at a newline, so that its token lists stay small next to the text.
+_CHUNK = 1 << 15
+
+
+def _gr_chunks(text: str) -> tuple[int, list[tuple[int, int]]] | None:
+    # n and the 0-based normalized edges of a .gr text whose first line
+    # is a valid header and whose m other lines (a final empty one
+    # aside) each hold "e" and two ids in 1..n; None for any other text.
+    # The counts below make the m lines that open with "e " all lines
+    # but the header.  Each chunk holds whole lines, and its tokens come
+    # in threes whose second and third parse as ints; an "e" does not,
+    # so each line opens a three, and m lines in 3m tokens leave three
+    # tokens on each.
+    if not text.startswith("p "):
+        return None
+    start = text.find("\n") + 1 or len(text)
+    head = text[:start].split()
+    try:
+        n, m = int(head[2]), int(head[3])
+    except (IndexError, ValueError):
+        return None
+    if (len(head) != 4 or head[1] != "edge" or not 0 <= n <= MAX_GR_VERTICES
+            or text.count("\n") != m + text.endswith("\n") or text.count("\ne ") != m):
+        return None
+    edges: list[tuple[int, int]] = []
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start + _CHUNK) + 1 or end
+        tok = text[start:stop].split()
+        start = stop
+        if len(tok) % 3:
+            return None
+        try:
+            us, vs = list(map(int, tok[1::3])), list(map(int, tok[2::3]))
+        except ValueError:
+            return None
+        if us and not (min(min(us), min(vs)) >= 1 and max(max(us), max(vs)) <= n):
+            return None
+        edges += [(u - 1, v - 1) if u <= v else (v - 1, u - 1) for u, v in zip(us, vs)]
+    return (n, edges) if len(edges) == m else None
+
+
+def _gr_walk(path: str, text: str) -> tuple[int, list[tuple[int, int]]]:
+    # _gr_chunks' result, line by line; raises ParseError at the first
+    # bad line.
     n = m = None
     edges: list[tuple[int, int]] = []
-    for lineno, line, tok in _lines(path):
+    for lineno, line, tok in _lines(text):
         try:
             if tok[0] == "e" and len(tok) == 3 and n is not None:
                 u, v = int(tok[1]), int(tok[2])
                 if not (0 < u <= n and 0 < v <= n):
                     raise _outside(path, lineno, n, u, v)
-                edges.append((u - 1, v - 1))
+                edges.append((u - 1, v - 1) if u <= v else (v - 1, u - 1))
             elif tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and n is None:
                 n, m = int(tok[2]), int(tok[3])
                 if n < 0:
@@ -173,10 +241,7 @@ def parse_gr_file(path: str) -> MultiGraph:
         raise ParseError(f"{path}: missing 'p edge <n> <m>' header")
     if len(edges) != m:
         raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
-    try:
-        return MultiGraph(n, edges)
-    except ChromaflowError as exc:
-        raise ParseError(f"{path}: {exc}")
+    return n, edges
 
 
 def format_poly(p: IntPoly | _Packed) -> str:

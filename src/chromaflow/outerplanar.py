@@ -295,6 +295,11 @@ def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
     vertex keeps it.  When no path has two or more inner vertices, h is
     g itself, loops included, and names is None; the block walk passes
     over the loops.
+
+    h is built with MultiGraph._trusted, without a second check: it
+    numbers the vertices of g it keeps in increasing order, then one
+    inner vertex per path after all of them, so each kept edge is
+    written with its smaller end first.
     """
     n, edges = g.n, g.edges
     deg = [0] * n
@@ -341,7 +346,7 @@ def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
             seen[b] = 1
             prev, b = b, nsum[b] - prev
         kept.append((label[a], len(names)))
-        kept.append((len(names), label[b]))
+        kept.append((label[b], len(names)))
         names.append(x)
 
     # g's components that are one cycle: whatever no walk reached lies
@@ -354,7 +359,7 @@ def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
                 while not seen[x]:
                     seen[x] = 1
                     prev, x = x, nsum[x] - prev
-    return MultiGraph(len(names), kept), names, ones
+    return MultiGraph._trusted(len(names), kept), names, ones
 
 
 def flow_outerplanar(g: MultiGraph) -> IntPoly:

@@ -515,7 +515,7 @@ def test_gr_header_size_guard(tmp_path, monkeypatch, capsys):
         calls.append(n)
         return ZERO
 
-    monkeypatch.setattr(cli, "MultiGraph", fake_graph)
+    monkeypatch.setattr(cli.MultiGraph, "_trusted", fake_graph)
     path = write(tmp_path, "huge.gr", f"p edge {cli.MAX_GR_VERTICES + 1} 0\n")
     with pytest.raises(ParseError, match="exceeds the limit"):
         parse_gr_file(path)

@@ -3,9 +3,11 @@
 `cli._parse` hands a call that names a (command, subcommand) pair
 straight to that leaf parser; the full command tree must parse every
 argv to the same namespace, error or help.  The file readers read a
-file in one piece and split each line once; the line-by-line readers
-below are the reference, and both must return the same graph or the
-same error, except that a vertex id outside the header's range is now
+file in one piece; a .gr file laid out as a header line and one record
+per line goes through a pass over chunks of its tokens, and every other
+file through a walk over its lines.  The line-by-line readers below are
+the reference, and the readers must return the same graph or the same
+error, except that a vertex id outside the header's range is now
 reported at its line with the file's 1-based id, a header's vertex or
 edge count out of range at the header line, and a tree edge that is a
 loop at its line with the file's ids.
@@ -14,6 +16,7 @@ loop at its line with the file's ids.
 from __future__ import annotations
 
 import io
+import random
 import re
 from contextlib import redirect_stdout
 
@@ -214,6 +217,67 @@ def test_readers_match_reference(input_path, content):
     assert_readers_agree(input_path)
 
 
+@st.composite
+def reflowed_gr_text(draw):
+    # A gr_text with a few of its separators swapped for a newline, a
+    # tab, a vertical tab, a blank line or a space: a record or the
+    # header may then span two lines, share one, or sit among blank
+    # lines, which a pass over the tokens alone cannot tell apart.
+    parts = re.split(r"([ \n])", draw(gr_text()))
+    seps = st.sampled_from(range(1, len(parts), 2))
+    for i in draw(st.lists(seps, min_size=1, max_size=4)):
+        parts[i] = draw(st.sampled_from(["\n", "\t", "\x0b", "\n\n", " "]))
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=reflowed_gr_text())
+def test_reflowed_gr_matches_reference(input_path, text):
+    with open(input_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert_readers_agree(input_path)
+
+
+def many_records(count: int = 5000) -> list[str]:
+    # A valid .gr file of `count` records on 999 vertices, as lines;
+    # its records fill more than one chunk of the chunk pass.  Ids of
+    # three digits keep every record nine characters long.
+    rng = random.Random(count)
+    return [f"p edge 999 {count}", *(f"e {rng.randint(100, 999)} {rng.randint(100, 999)}"
+                                     for _ in range(count))]
+
+
+def boundary_line(lines: list[str]) -> int:
+    # The 1-based number of the line that ends the chunk pass's first chunk.
+    text = "\n".join(lines) + "\n"
+    start = len(lines[0]) + 1
+    return text[:text.index("\n", start + cli._CHUNK) + 1].count("\n")
+
+
+# Corruptions that keep a record's length, so the chunk boundary stays
+# where it was, and that the line counts do not see: the chunk pass
+# refuses the file only when it reaches the record.
+CORRUPTIONS = {
+    "bad-integer": lambda rec: rec[:-1] + "x",
+    "outside": lambda rec: "e " + "0" * (len(rec) - 4) + " 1",
+    "four-tokens": lambda rec: rec[:-2] + " " + rec[-1],
+}
+
+
+def boundary_files() -> list[tuple[str, bytes, int]]:
+    # (id, content, the line the error must name): one bad record just
+    # before, on and just after the first chunk boundary.
+    lines = many_records()
+    at = boundary_line(lines)
+    files = []
+    for where, lineno in (("before", at - 1), ("on", at), ("after", at + 1)):
+        for kind, corrupt in CORRUPTIONS.items():
+            bad = list(lines)
+            bad[lineno - 1] = corrupt(bad[lineno - 1])
+            files.append((f"chunk-{where}-{kind}", ("\n".join(bad) + "\n").encode(), lineno))
+    return files
+
+
 FIXED_FILES = [
     b"vjt 3\r\nedge 1 2\r\nedge 2 3\r\njoin 1 1\r\njoin 3 2\r\n",
     b"p edge 3 3\r\ne 1 2\r\ne 2 3\r\ne 3 1\r\nbogus\r\n",
@@ -253,6 +317,34 @@ FIXED_FILES = [
     b"vjt 3\nedge 1 2\nedge 2 1\n",
     b"vjt 2\nedge 1 1\n",
     b"vjt 2\nedge 1 2\njoin 1 -1\n",
+    # A record split over two lines.
+    b"p edge 2 1\ne 1\n2\n",
+    b"p edge 3 2\ne 1 2 e\n3 1\n",
+    b"p edge 3 2\ne 1 2 e\n3 1",
+    b"p edge 3 2\ne 1 2 e 2 3\ne 1 3\n",
+    # The header and a record on one line, and a header split over two.
+    b"p edge 2 1 e 1 2\n",
+    b"p edge 2 1\te 1 2\n",
+    b"p edge\n2 1\ne 1 2\n",
+    b"p\nedge 2 1\ne 1 2\n",
+    # Valid files with tabs, leading or trailing spaces, blank lines or CRLF.
+    b"p edge 3 2\ne\t1\t2\ne 2 3\n",
+    b"p edge 3 2\n  e 1 2\ne 2 3  \n",
+    b" p edge 3 2\ne 1 2\ne 2 3\n",
+    b"p edge 3 2 \ne 1 2\ne 2\t3\t\n",
+    b"p edge 3 2\n\ne 1 2\n\ne 2 3\n\n",
+    b"p edge 3 2\r\ne 1 2\r\ne 2 3\r\n",
+    b"p edge 3 2\r\ne 1 2\r\ne 2 3",
+    # Ids that int() reads unusually, and one past its digit limit.
+    b"p edge 12 3\ne +1 1_0\ne 2 +3\ne 1_1 1\n",
+    "p edge 3 2\ne \u0663 1\ne 2 \u0661\n".encode(),
+    pytest.param(b"p edge 3 1\ne 1 1" + b"0" * 4300 + b"\n", id="id-of-4301-digits"),
+    pytest.param(b"p edge 3 1\ne 1 " + b"0" * 4300 + b"1\n", id="id-of-4301-digits-zero-led"),
+    # Files larger than one chunk: valid, and with a bad record near
+    # the chunk boundary.
+    pytest.param(("\n".join(many_records()) + "\n").encode(), id="chunks-valid"),
+    pytest.param("\n".join(many_records()).encode(), id="chunks-valid-no-final-newline"),
+    *(pytest.param(content, id=name) for name, content, _ in boundary_files()),
 ]
 
 
@@ -261,6 +353,45 @@ def test_readers_match_reference_fixed(tmp_path, content):
     path = tmp_path / "input"
     path.write_bytes(content)
     assert_readers_agree(str(path))
+
+
+@pytest.mark.parametrize("name, content, lineno", boundary_files())
+def test_bad_record_near_a_chunk_boundary_names_its_line(tmp_path, name, content, lineno):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    text = content.decode()
+    # The line counts pass, so the chunk pass refuses the file only when
+    # it reaches the bad record; the line walk then names its line.
+    assert text.count("\ne ") == 5000
+    assert cli._gr_chunks(text) is None
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{lineno}: "):
+        cli.parse_gr_file(str(path))
+
+
+def test_chunk_pass_reads_a_clean_file_in_chunks(tmp_path, monkeypatch):
+    # A file with no comment, blank line or other spacing goes through
+    # the chunk pass, here in two chunks, and reads as the walk reads it.
+    # Either way the file is read once.
+    lines = many_records()
+    assert boundary_line(lines) < len(lines)
+    text = "\n".join(lines) + "\n"
+    clean, spaced = tmp_path / "clean", tmp_path / "spaced"
+    clean.write_text(text)
+    spaced.write_text(text.replace("\ne ", "\n e ", 1))
+    read = cli._gr_chunks(text)
+    assert read is not None and read == cli._gr_walk(str(clean), text)
+    read_text, walk, reads = cli._text, cli._gr_walk, []
+
+    def counting(path):
+        reads.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(cli, "_text", counting)
+    monkeypatch.setattr(cli, "_gr_walk", None)
+    assert cli.parse_gr_file(str(clean)) == ref_parse_gr_file(str(clean))
+    monkeypatch.setattr(cli, "_gr_walk", walk)
+    assert cli.parse_gr_file(str(spaced)) == ref_parse_gr_file(str(spaced))
+    assert reads == [str(clean), str(spaced)]
 
 
 def test_readers_match_reference_without_a_file(tmp_path):

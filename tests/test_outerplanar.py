@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromaflow import outerplanar, vjtree
+from chromaflow import cli, outerplanar, vjtree
 from chromaflow.errors import NotBiconnected, NotOuterplanar
 from chromaflow.generators import (fan_polygon, random_outerplanar, random_outerplanar_block,
                                    shuffle_labels, triangulated_polygon)
@@ -429,6 +429,31 @@ def test_shortened_paths_match_the_unshortened_route():
         assert flow_outerplanar(g) == expect
         outcomes[shortened, "zero" if expect.is_zero() else "flow"] += 1
     assert len(outcomes) == 6 and min(outcomes.values()) >= 100, outcomes
+
+
+def test_trusted_graphs_stay_normalized(tmp_path):
+    # _shorten and the .gr reader build their graphs with
+    # MultiGraph._trusted, which checks nothing; each graph must equal
+    # the one the checking constructor makes of its edges.
+    rng = random.Random(1618)
+    path = tmp_path / "g.gr"
+    shortened = Counter()
+    for i in range(2000):
+        g = _mixed_graph(rng, _chain_part if i % 2 else _part)
+        h = _shorten(g)[0]
+        assert h == MultiGraph(h.n, h.edges)
+        shortened[h is not g] += 1
+        # Written with ends in either order, now and then with a comment
+        # that sends the file through the line walk.
+        lines = [f"p edge {g.n} {g.m}"]
+        lines += [f"e {u + 1} {v + 1}" if rng.random() < 0.5 else f"e {v + 1} {u + 1}"
+                  for u, v in g.edges]
+        if i % 3 == 0:
+            lines.insert(rng.randint(0, len(lines)), "# note")
+        path.write_text("\n".join(lines) + "\n")
+        parsed = cli.parse_gr_file(str(path))
+        assert parsed == MultiGraph(parsed.n, parsed.edges) == g
+    assert min(shortened[True], shortened[False]) >= 200, shortened
 
 
 def _scaling_bench():

@@ -17,6 +17,15 @@ counts for neither side.  Pairs where either run failed are left out of
 the comparison.  It also records, per side, the calls attempted and
 failed over all runs, whether every run's outputs checked correct, and
 the runs that did not produce a result.
+
+Each metric also gets two verdicts, with its bound read from
+BENCHMARK.json at the root of the repository:
+
+- claim_holds: the change won at least 9 pairs in 10, and its median
+  is better than the parent's by more than the parent's interquartile
+  distance (q3 - q1), the rule a claimed gain must pass;
+- worse_than_bound: the change's median is worse than the parent's by
+  more than the metric's bound, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
@@ -55,7 +65,7 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(results: dict[str, list[dict | None]]) -> dict:
+def summarize(results: dict[str, list[dict | None]], bounds: dict[str, float]) -> dict:
     sides = {}
     for side in SIDES:
         runs = [r for r in results[side] if r is not None]
@@ -71,13 +81,21 @@ def summarize(results: dict[str, list[dict | None]]) -> dict:
     for name in pairs[0][0]["metrics"] if pairs else ():
         values = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
                   for i, side in enumerate(SIDES)}
+        gains = [p - c for p, c in zip(values["parent"], values["change"])]
+        parent, change = spread(values["parent"]), spread(values["change"])
+        gain = parent["median"] - change["median"]
+        change_won = sum(g > 0 for g in gains)
+        bound = bounds[name]
         metrics[name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"],
-            "parent": spread(values["parent"]),
-            "change": spread(values["change"]),
+            "parent": parent,
+            "change": change,
             "pairs": len(pairs),
-            "change_won": sum(c < p for p, c in zip(values["parent"], values["change"])),
-            "parent_won": sum(p < c for p, c in zip(values["parent"], values["change"])),
+            "change_won": change_won,
+            "parent_won": sum(g < 0 for g in gains),
+            "claim_holds": 10 * change_won >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+            "bound": bound,
+            "worse_than_bound": -gain > bound * parent["median"],
         }
     return {"sides": sides, "metrics": metrics}
 
@@ -93,6 +111,8 @@ def main() -> int:
     ap.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     args = ap.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
 
     results: dict[str, list[dict | None]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
@@ -106,7 +126,7 @@ def main() -> int:
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "first_in_pair": "parent in even pairs (counting from 0), change in odd ones",
-        **summarize(results),
+        **summarize(results, bounds),
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
@@ -115,7 +135,9 @@ def main() -> int:
         p, c = m["parent"], m["change"]
         print(f"{name:16s} {p['median']:10.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-              f"change won {m['change_won']}/{m['pairs']}, parent won {m['parent_won']}")
+              f"change won {m['change_won']}/{m['pairs']}, parent won {m['parent_won']}; "
+              f"claim {'holds' if m['claim_holds'] else 'fails'}, "
+              f"{'WORSE than' if m['worse_than_bound'] else 'within'} its bound {m['bound']}")
     for side in SIDES:
         s = summary["sides"][side]
         print(f"{side}: failed {s['failed']}/{s['attempted']}, correct {s['correct']}, "

@@ -13,6 +13,12 @@ already holds as decimal digits, one slot per coefficient, so they
 print from those slots (polyring._decimals) with string operations
 alone; only --eval reads the product back into ints.  Wheels and the
 oracle print from their IntPoly.
+
+A .gr file is read into two columns of its own 1-based ids
+(_gr_columns).  `flow outerplanar` hands them to the series reduction
+as they are (outerplanar._top), so its messages name the file's ids;
+the MultiGraph that parse_gr_file builds from them serves only the
+oracle commands and library callers.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import argparse
 import re
 import sys
 
-from .errors import ChromaflowError, InvalidSize, InvalidVertex, NotOuterplanar, ParseError
+from .errors import ChromaflowError, InvalidSize, InvalidVertex, ParseError
 from .multigraph import MultiGraph
 from .oracle import oracle_chromatic, oracle_flow
 from . import outerplanar, vjtree
@@ -90,8 +96,8 @@ def _text(path: str) -> str:
 def _lines(text: str):
     # (line number, text, tokens) of each non-blank line, with `#`
     # comments cut off; the text is for error messages.  Every .vjt file
-    # is read through it, and every .gr file that parse_gr_file's chunk
-    # pass cannot vouch for, so that an error names its line.  Lines
+    # is read through it, and every .gr file that _gr_columns' chunk pass
+    # cannot vouch for, so that an error names its line.  Lines
     # break at \n alone; str.splitlines() would also break at \x0b,
     # \x1c, \x85, U+2028 and more.
     comments = "#" in text
@@ -154,19 +160,29 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
 def parse_gr_file(path: str) -> MultiGraph:
     """DIMACS-like: `p edge n m` header then m `e u v` lines, 1-indexed.
 
-    The file is read once.  When its first line is the header and each
-    of the m lines after it (a final empty one aside) opens with "e ",
-    a chunk pass reads the records a chunk of tokens at a time; any
-    other file, and one whose records the chunk pass refuses, goes
-    through the line walk on the same text, which accepts comments,
-    blank lines and other spacing and names the first bad line.  Both
-    give the same graph and the same messages.
+    `#` comments, blank lines and other spacing are accepted, and a
+    ParseError names the first bad line.  Vertex u of the file is vertex
+    u - 1 of the graph.  The file is read once, into two columns of its
+    own ids (_gr_columns), and the graph is built from them; `flow
+    outerplanar` reads the columns itself, so only the oracle commands
+    and library callers build this graph.
     """
+    n, us, vs = _gr_columns(path)
+    return MultiGraph._trusted(
+        n, [(u - 1, v - 1) if u <= v else (v - 1, u - 1) for u, v in zip(us, vs)])
+
+
+def _gr_columns(path: str) -> tuple[int, list[int], list[int]]:
+    # n and the two id columns of a .gr file, 1-based and in file order.
+    # When the first line is the header and each of the m lines after it
+    # (a final empty one aside) opens with "e ", a chunk pass reads the
+    # records a chunk of tokens at a time; any other file, and one whose
+    # records the chunk pass refuses, goes through the line walk on the
+    # same text, which accepts comments, blank lines and other spacing
+    # and names the first bad line.  Both give the same columns and the
+    # same messages.
     text = _text(path)
-    read = _gr_chunks(text)
-    if read is None:
-        read = _gr_walk(path, text)
-    return MultiGraph._trusted(*read)
+    return _gr_chunks(text) or _gr_walk(path, text)
 
 
 # The chunk pass splits about this many characters of records at a time,
@@ -174,14 +190,14 @@ def parse_gr_file(path: str) -> MultiGraph:
 _CHUNK = 1 << 15
 
 
-def _gr_chunks(text: str) -> tuple[int, list[tuple[int, int]]] | None:
-    # n and the 0-based normalized edges of a .gr text whose first line
-    # is a valid header and whose m other lines (a final empty one
-    # aside) each hold "e" and two ids in 1..n; None for any other text.
-    # The counts below make the m lines that open with "e " all lines
-    # but the header.  Each chunk holds whole lines, and its tokens come
-    # in threes whose second and third parse as ints; an "e" does not,
-    # so each line opens a three, and m lines in 3m tokens leave three
+def _gr_chunks(text: str) -> tuple[int, list[int], list[int]] | None:
+    # n and the 1-based id columns of a .gr text whose first line is a
+    # valid header and whose m other lines (a final empty one aside)
+    # each hold "e" and two ids in 1..n; None for any other text.  The
+    # counts below make the m lines that open with "e " all lines but
+    # the header.  Each chunk holds whole lines, and its tokens come in
+    # threes whose second and third parse as ints; an "e" does not, so
+    # each line opens a three, and m lines in 3m tokens leave three
     # tokens on each.
     if not text.startswith("p "):
         return None
@@ -194,7 +210,8 @@ def _gr_chunks(text: str) -> tuple[int, list[tuple[int, int]]] | None:
     if (len(head) != 4 or head[1] != "edge" or not 0 <= n <= MAX_GR_VERTICES
             or text.count("\n") != m + text.endswith("\n") or text.count("\ne ") != m):
         return None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     end = len(text)
     while start < end:
         stop = text.find("\n", start + _CHUNK) + 1 or end
@@ -203,27 +220,30 @@ def _gr_chunks(text: str) -> tuple[int, list[tuple[int, int]]] | None:
         if len(tok) % 3:
             return None
         try:
-            us, vs = list(map(int, tok[1::3])), list(map(int, tok[2::3]))
+            cu, cv = list(map(int, tok[1::3])), list(map(int, tok[2::3]))
         except ValueError:
             return None
-        if us and not (min(min(us), min(vs)) >= 1 and max(max(us), max(vs)) <= n):
+        if cu and not (min(min(cu), min(cv)) >= 1 and max(max(cu), max(cv)) <= n):
             return None
-        edges += [(u - 1, v - 1) if u <= v else (v - 1, u - 1) for u, v in zip(us, vs)]
-    return (n, edges) if len(edges) == m else None
+        us += cu
+        vs += cv
+    return (n, us, vs) if len(us) == m else None
 
 
-def _gr_walk(path: str, text: str) -> tuple[int, list[tuple[int, int]]]:
+def _gr_walk(path: str, text: str) -> tuple[int, list[int], list[int]]:
     # _gr_chunks' result, line by line; raises ParseError at the first
     # bad line.
     n = m = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for lineno, line, tok in _lines(text):
         try:
             if tok[0] == "e" and len(tok) == 3 and n is not None:
                 u, v = int(tok[1]), int(tok[2])
                 if not (0 < u <= n and 0 < v <= n):
                     raise _outside(path, lineno, n, u, v)
-                edges.append((u - 1, v - 1) if u <= v else (v - 1, u - 1))
+                us.append(u)
+                vs.append(v)
             elif tok[0] == "p" and len(tok) == 4 and tok[1] == "edge" and n is None:
                 n, m = int(tok[2]), int(tok[3])
                 if n < 0:
@@ -239,9 +259,9 @@ def _gr_walk(path: str, text: str) -> tuple[int, list[tuple[int, int]]]:
             raise ParseError(f"{path}:{lineno}: bad integer in {line.strip()!r}")
     if n is None:
         raise ParseError(f"{path}: missing 'p edge <n> <m>' header")
-    if len(edges) != m:
-        raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return n, edges
+    if len(us) != m:
+        raise ParseError(f"{path}: header promises {m} edges, found {len(us)}")
+    return n, us, vs
 
 
 def format_poly(p: IntPoly | _Packed) -> str:
@@ -356,11 +376,10 @@ def _dispatch(args) -> list[str]:
             raise InvalidSize(f"phi string of {phi.n} entries exceeds the limit {MAX_PHI_LENGTH}")
         poly = chromatic_wheel(phi)
     elif cmd == ("flow", "outerplanar"):
-        try:
-            poly = outerplanar._top(parse_gr_file(args.file))
-        except NotOuterplanar as exc:
-            # Name the vertices as the file numbers them, from 1.
-            raise NotOuterplanar(exc.template, *(v + 1 for v in exc.vertices)) from None
+        # Slot 0 of the columns' range is an isolated vertex, so the
+        # vertices, and the messages, keep the file's ids.
+        n, us, vs = _gr_columns(args.file)
+        poly = outerplanar._top(n + 1, outerplanar._Columns(us, vs))
     elif cmd == ("flow", "wheel"):
         poly = flow_wheel(_dual_phi_arg(args.phi))
     elif cmd == ("dual", "phi"):

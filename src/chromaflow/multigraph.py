@@ -12,8 +12,8 @@ creates a loop.
 Every MultiGraph holds each edge normalized, 0 <= u <= v < n, in a
 tuple.  The constructor checks and normalizes the edges it is given;
 the private MultiGraph._trusted stores edges that already satisfy that
-invariant as they are, for the .gr reader and outerplanar._shorten,
-which check or build every edge themselves.
+invariant as they are, for the .gr reader and the outerplanar series
+reduction (_shorten, _top), which check or build every edge themselves.
 """
 
 from __future__ import annotations

@@ -43,7 +43,16 @@ on that smaller graph H.  Two facts make this exact:
 
 On long polygons, where nearly every vertex has degree 2, H is a small
 fraction of G.  When no path has two or more inner vertices, as in fans
-and triangulations, H is G itself and no copy is made.
+and triangulations, H is G itself: the caller's graph when it holds
+one, so no copy is made.
+
+The shortening reads G's edges as pairs of vertex ids in range(size),
+each written in either order: flow_outerplanar hands over g.edges as
+they are, and the CLI the two columns of a .gr file's 1-based ids as
+the file writes them (_Columns), with size = n + 1, so slot 0 is an
+isolated vertex, which is inert.  No list of pairs is built for a file.
+The caller's ids are the names throughout: H records the id of each of
+its vertices, and an unshortened G keeps them.
 
 flow_outerplanar takes H's blocks from one flat block walk
 (multigraph._walk_blocks), which hands each block over in DFS-discovery
@@ -53,14 +62,15 @@ along the cycle, so neighbouring vertices get neighbouring labels, and
 the certificate and the dual touch their arrays nearly in order rather
 than at the random places shuffled input labels would send them to.
 The polynomial does not depend on the labels.  Error messages name the
-input graph's own vertex ids, mapped back from H's once per call.
+caller's vertex ids, mapped back from H's once per call: 0-based ones
+from flow_outerplanar, the file's from the CLI.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph, _walk_blocks
@@ -283,55 +293,77 @@ def build_dual(oc: OuterCycle) -> VertexJoinTree:
     return VertexJoinTree(total, tuple(dual_edges), mult)
 
 
-def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
-    """g with every path of degree-2 vertices shortened to one inner vertex.
+class _Columns:
+    """Edges as two columns of ends: edge i joins us[i] and vs[i].
 
-    Returns (h, names, ones): vertex x of h is vertex names[x] of g, and
-    ones counts the (t - 1) factors of g's loops and of its components
-    that are one cycle, all of which h's blocks leave out.  Loops do
-    not count toward degree, and isolated vertices are dropped.  A path
-    is kept as its first inner vertex, so one that leaves a and returns
-    to a becomes the digon a-x-a, and one that ends at a degree-1
-    vertex keeps it.  When no path has two or more inner vertices, h is
-    g itself, loops included, and names is None; the block walk passes
-    over the loops.
+    Iterating yields the pairs, as zip(us, vs) does, and may be done
+    again and again, as over a sequence of pairs.
+    """
 
-    h is built with MultiGraph._trusted, without a second check: it
-    numbers the vertices of g it keeps in increasing order, then one
+    __slots__ = ("us", "vs")
+
+    def __init__(self, us: Sequence[int], vs: Sequence[int]):
+        self.us = us
+        self.vs = vs
+
+    def __iter__(self) -> Iterator[Edge]:
+        return zip(self.us, self.vs)
+
+
+def _shorten(size: int, edges: Iterable[Edge]) -> tuple[MultiGraph | None, list[int] | None, int]:
+    """The graph of edges, its degree-2 paths shortened to one inner vertex.
+
+    edges is read several times: a sequence of pairs, or _Columns.  A
+    pair may name its ends in either order, and every id is in
+    range(size); an id no edge meets is an isolated vertex and is
+    inert.  Returns (h, names, ones): vertex x of h is the caller's
+    vertex names[x], and ones counts the (t - 1) factors of the loops
+    and of the components that are one cycle, all of which h's blocks
+    leave out.  Loops do not count toward degree, and isolated vertices
+    are dropped.  A path is kept as its first inner vertex, so one that
+    leaves a and returns to a becomes the digon a-x-a, and one that ends
+    at a degree-1 vertex keeps it.  When no path has two or more inner
+    vertices, h and names are None: nothing is shortened, and the
+    caller's own graph, loops included, serves, since the block walk
+    passes over the loops.
+
+    One pass over the edges finds each vertex's degree and the sum of
+    its neighbours, and the paths are walked over the same edges.  h is
+    built with MultiGraph._trusted, without a second check: it numbers
+    the vertices it keeps in increasing order of their ids, then one
     inner vertex per path after all of them, so each kept edge is
     written with its smaller end first.
     """
-    n, edges = g.n, g.edges
-    deg = [0] * n
+    deg = [0] * size
+    nsum = [0] * size
+    ones = 0  # the loops, and below the components that are one cycle
     for u, v in edges:
         if u != v:
             deg[u] += 1
             deg[v] += 1
-    ones = len(edges) - sum(deg) // 2  # g's loops
+            nsum[u] += v
+            nsum[v] += u
+        else:
+            ones += 1
     for u, v in edges:
         if deg[u] == 2 == deg[v] and u != v:
             break
     else:
-        return g, None, ones
+        return None, None, ones
 
     # A vertex of degree 2 entered from one neighbour leaves by the sum
     # of its neighbours less that one.
-    nsum = [0] * n
-    for u, v in edges:
-        if u != v:
-            nsum[u] += v
-            nsum[v] += u
     names = [v for v, d in enumerate(deg) if d and d != 2]
-    label = [0] * n
+    label = [0] * size
     for x, v in enumerate(names):
         label[v] = x
-    seen = bytearray(n)
+    seen = bytearray(size)
     kept: list[Edge] = []
     for u, v in edges:
         if deg[u] != 2:
             if deg[v] != 2:
                 if u != v:
-                    kept.append((label[u], label[v]))
+                    kept.append((label[u], label[v]) if u < v else (label[v], label[u]))
                 continue
             a, x = u, v
         elif deg[v] != 2:
@@ -349,8 +381,7 @@ def _shorten(g: MultiGraph) -> tuple[MultiGraph, list[int] | None, int]:
         kept.append((label[b], len(names)))
         names.append(x)
 
-    # g's components that are one cycle: whatever no walk reached lies
-    # on one.
+    # Components that are one cycle: whatever no walk reached lies on one.
     if seen.count(1) < deg.count(2):
         for u, v in edges:
             if u != v and deg[u] == 2 and not seen[u]:
@@ -372,12 +403,17 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
     dual: F = P(dual) / t per block, whose factors vjtree._factors
     names.  All factors meet in one balanced product.
     """
-    return _read(_top(g))
+    return _read(_top(g.n, g.edges, g))
 
 
-def _top(g: MultiGraph) -> IntPoly | _Packed:
-    # flow_outerplanar's product, packed when it is wide.
-    h, names, ones = _shorten(g)
+def _top(size: int, edges: Iterable[Edge], g: MultiGraph | None = None) -> IntPoly | _Packed:
+    # flow_outerplanar's product, packed when it is wide, for the graph
+    # of edges (as _shorten reads them) on range(size), which is g when
+    # the caller holds it.  Messages name the vertices by these ids.
+    h, names, ones = _shorten(size, edges)
+    if h is None:
+        h = g if g is not None else MultiGraph._trusted(
+            size, [(u, v) if u <= v else (v, u) for u, v in edges])
     blocks, order = _walk_blocks(h, True)
     if any(len(pairs) == 1 for _, pairs in blocks):
         return ZERO

@@ -198,6 +198,46 @@ def test_not_outerplanar_names_file_vertices(tmp_path, capsys):
             flow_outerplanar(parse_gr_file(path))
 
 
+def test_not_outerplanar_messages_name_the_file_ids(tmp_path, capsys):
+    # `flow outerplanar` hands the file's own ids to the series
+    # reduction, so its message must be the library's on the same graph
+    # with every named vertex plus 1.  K4, K_{2,3} and a hexagon with
+    # two crossing chords, shuffled: as they are, where nothing is
+    # shortened, and with some edges made paths of 2-4 inner vertices.
+    rng = random.Random(29)
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    bases = [[(i, j) for i in range(4) for j in range(i + 1, 4)],
+             [(a, b) for a in (0, 1) for b in (2, 3, 4)],
+             hexagon + [(0, 3), (1, 4)]]
+    seen = set()
+    for i in range(60):
+        edges = bases[i % 3]
+        n = 1 + max(max(e) for e in edges)
+        if i % 2:
+            subdivided = []
+            for u, v in edges:
+                path = [u, *range(n, n + rng.randint(2, 4)), v] if rng.random() < 0.5 else [u, v]
+                n += len(path) - 2
+                subdivided += zip(path, path[1:])
+            edges = subdivided
+        g = shuffle_labels(rng, n, edges)
+        shortened = outerplanar._shorten(g.n, g.edges)[0]
+        lines = [f"e {u + 1} {v + 1}" if rng.random() < 0.5 else f"e {v + 1} {u + 1}"
+                 for u, v in g.edges]
+        path = write(tmp_path, f"g{i}.gr", "\n".join([f"p edge {g.n} {g.m}", *lines]) + "\n")
+        with pytest.raises(NotOuterplanar) as info:
+            flow_outerplanar(g)
+        exc = info.value
+        assert str(exc) == exc.template.format(*exc.vertices)
+        named = exc.template.format(*(v + 1 for v in exc.vertices))
+        expect = (1, "", f"error: NotOuterplanar: {named}\n")
+        assert invoke(capsys, "flow", "outerplanar", path) == expect
+        seen.add((i % 3, shortened is not None, bool(exc.vertices)))
+    # Every base comes up on both routes.  The elimination stalls on K4
+    # and on the crossed chords, and K_{2,3} names vertices on both.
+    assert seen == {(k, s, k == 1) for k in range(3) for s in (False, True)}, seen
+
+
 def test_bad_header_counts_fail_at_the_header(tmp_path, capsys):
     cases = [
         ("zero.vjt", "vjt 0\n", ("chromatic", "tree"), 1, "vertex count must be at least 1, got 0"),
@@ -319,7 +359,9 @@ def _cutoff_corpus(rng: random.Random, tmp_path) -> list[tuple[list[str], IntPol
 
     def graph(g: MultiGraph) -> None:
         path = write(tmp_path, f"g{len(cases)}.gr", _gr_text(g))
-        cases.append((["flow", "outerplanar", path], flow_outerplanar(g), outerplanar._top(g)))
+        top = outerplanar._top(g.n + 1, outerplanar._Columns([u + 1 for u, _ in g.edges],
+                                                             [v + 1 for _, v in g.edges]))
+        cases.append((["flow", "outerplanar", path], flow_outerplanar(g), top))
 
     for c in CUTOFF_SIZES:
         # Two factors of c coefficients each: a path brick of c edges

@@ -5,12 +5,14 @@ straight to that leaf parser; the full command tree must parse every
 argv to the same namespace, error or help.  The file readers read a
 file in one piece; a .gr file laid out as a header line and one record
 per line goes through a pass over chunks of its tokens, and every other
-file through a walk over its lines.  The line-by-line readers below are
-the reference, and the readers must return the same graph or the same
-error, except that a vertex id outside the header's range is now
-reported at its line with the file's 1-based id, a header's vertex or
-edge count out of range at the header line, and a tree edge that is a
-loop at its line with the file's ids.
+file through a walk over its lines.  Both hand `flow outerplanar` two
+columns of the file's own ids, and the graph built from those columns
+is checked too.  The line-by-line readers below are the reference, and
+the readers must return the same graph or the same error, except that a
+vertex id outside the header's range is now reported at its line with
+the file's 1-based id, a header's vertex or edge count out of range at
+the header line, and a tree edge that is a loop at its line with the
+file's ids.
 """
 
 from __future__ import annotations
@@ -172,9 +174,17 @@ def ref_parse_gr_file(path: str) -> MultiGraph:
         raise ParseError(f"{path}: {exc}")
 
 
+def column_graph(path: str) -> MultiGraph:
+    # The graph on 0..n-1 of the 1-based id columns that `flow
+    # outerplanar` reads, built by the checking constructor.
+    n, us, vs = cli._gr_columns(path)
+    return MultiGraph(n, [(u - 1, v - 1) for u, v in zip(us, vs)])
+
+
 READERS = [
     (cli.parse_vjt_file, ref_parse_vjt_file, lambda t: (t.n, t.tree_edges, t.mult)),
     (cli.parse_gr_file, ref_parse_gr_file, lambda g: (g.n, g.edges)),
+    (column_graph, ref_parse_gr_file, lambda g: (g.n, g.edges)),
 ]
 # The messages the one-read readers changed: a vertex id outside the
 # header's range, which replaces the library's 0-based range message,
@@ -380,6 +390,9 @@ def test_chunk_pass_reads_a_clean_file_in_chunks(tmp_path, monkeypatch):
     spaced.write_text(text.replace("\ne ", "\n e ", 1))
     read = cli._gr_chunks(text)
     assert read is not None and read == cli._gr_walk(str(clean), text)
+    n, us, vs = read
+    assert (n, len(us), len(vs)) == (999, 5000, 5000)
+    assert [f"e {u} {v}" for u, v in zip(us, vs)] == lines[1:]
     read_text, walk, reads = cli._text, cli._gr_walk, []
 
     def counting(path):

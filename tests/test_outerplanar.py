@@ -418,7 +418,7 @@ def test_shortened_paths_match_the_unshortened_route():
     outcomes = Counter()
     for i in range(5000):
         g = _mixed_graph(rng, _chain_part if i % 2 else _part)
-        shortened = _shorten(g)[1] is not None
+        shortened = _shorten(g.n, g.edges)[0] is not None
         try:
             expect = _unshortened_flow(g)
         except NotOuterplanar as exc:
@@ -434,15 +434,16 @@ def test_shortened_paths_match_the_unshortened_route():
 def test_trusted_graphs_stay_normalized(tmp_path):
     # _shorten and the .gr reader build their graphs with
     # MultiGraph._trusted, which checks nothing; each graph must equal
-    # the one the checking constructor makes of its edges.
+    # the one the checking constructor makes of its edges, whether
+    # _shorten reads the library's pairs or the file's own columns.
     rng = random.Random(1618)
     path = tmp_path / "g.gr"
     shortened = Counter()
     for i in range(2000):
         g = _mixed_graph(rng, _chain_part if i % 2 else _part)
-        h = _shorten(g)[0]
-        assert h == MultiGraph(h.n, h.edges)
-        shortened[h is not g] += 1
+        h = _shorten(g.n, g.edges)[0]
+        assert h is None or h == MultiGraph(h.n, h.edges)
+        shortened[h is not None] += 1
         # Written with ends in either order, now and then with a comment
         # that sends the file through the line walk.
         lines = [f"p edge {g.n} {g.m}"]
@@ -453,6 +454,10 @@ def test_trusted_graphs_stay_normalized(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         parsed = cli.parse_gr_file(str(path))
         assert parsed == MultiGraph(parsed.n, parsed.edges) == g
+        n, us, vs = cli._gr_columns(str(path))
+        read = _shorten(n + 1, outerplanar._Columns(us, vs))[0]
+        assert (read is None) == (h is None)
+        assert read is None or read == MultiGraph(read.n, read.edges) == h
     assert min(shortened[True], shortened[False]) >= 200, shortened
 
 
@@ -464,24 +469,34 @@ def _scaling_bench():
     return module
 
 
-def test_shortening_at_scale_and_its_absence():
+def test_shortening_at_scale_and_its_absence(monkeypatch):
+    walked = []
+
+    def walk_blocks(h, with_order):
+        walked.append(h)
+        return _walk_blocks(h, with_order)
+
+    monkeypatch.setattr(outerplanar, "_walk_blocks", walk_blocks)
     bench = _scaling_bench()
     rng = random.Random(2000)
     g = bench.chorded_polygon(rng, 2000)
-    h, names, ones = _shorten(g)
+    h, names, ones = _shorten(g.n, g.edges)
     assert h.n <= 100 and len(names) == h.n and ones == 0
     assert flow_outerplanar(g) == _unshortened_flow(g)
     # No path of a fan or of a triangulated polygon has two inner
-    # vertices, so they are certified as they are, with no copy.
+    # vertices, so _shorten builds no graph and the block walk gets the
+    # caller's graph itself, with no copy.
     for g in (bench.fan(rng, 600), bench.triangulated(rng, 600)):
-        h, names, ones = _shorten(g)
-        assert h is g and names is None and ones == 0
+        h, names, ones = _shorten(g.n, g.edges)
+        assert h is None and names is None and ones == 0
+        walked.clear()
         assert flow_outerplanar(g) == _unshortened_flow(g)
+        assert len(walked) == 1 and walked[0] is g
     # Loops, a triangle and a digon on their own leave only their (t - 1)
     # factors; two paths from vertex 3 back to itself become digons.
     g = MultiGraph(10, [(0, 1), (1, 2), (2, 0), (8, 8), (3, 3), (8, 9), (8, 9),
                         (3, 4), (4, 5), (5, 3), (3, 6), (6, 7), (7, 3)])
-    h, names, ones = _shorten(g)
+    h, names, ones = _shorten(g.n, g.edges)
     assert sorted(h.edges) == [(0, 1), (0, 1), (0, 2), (0, 2)] and ones == 4
     assert names[0] == 3 and {names[1], names[2]} <= {4, 5, 6, 7}
     assert flow_outerplanar(g) == _unshortened_flow(g) == TM1**6
@@ -489,18 +504,18 @@ def test_shortening_at_scale_and_its_absence():
 
 def test_loops_counted_once_when_nothing_is_shortened():
     # A fan, or a triangle with a doubled side, has no path with two
-    # inner vertices, so _shorten hands back the graph itself, loops and
-    # all, and its count is the loops' only (t - 1) factors.  A plain
-    # triangle is one cycle and is counted with them.
+    # inner vertices, so _shorten builds no graph and the graph itself
+    # serves, loops and all; its count is the loops' only (t - 1)
+    # factors.  A plain triangle is one cycle and is counted with them.
     rng = random.Random(4242)
     triangle = [(0, 1), (1, 2), (0, 2)]
     for n, base, cycles in [(3, triangle, 1), (3, triangle + [(0, 1)], 0),
                             *((n, fan_polygon(n), 0) for n in (4, 5, 6, 7))]:
         for loops in (1, 2, 3):
             g = shuffle_labels(rng, n, base + [(v, v) for v in rng.choices(range(n), k=loops)])
-            h, names, ones = _shorten(g)
+            h, names, ones = _shorten(g.n, g.edges)
             assert ones == loops + cycles
-            assert (h is g and names is None) == (not cycles)
+            assert (h is None and names is None) == (not cycles)
             assert flow_outerplanar(g) == oracle_flow(g, force=True, memoize=True)
 
 

@@ -386,9 +386,9 @@ def _dispatch(args) -> list[str]:
         out = phi_dual(_dual_phi_arg(args.phi))
         return ["phi " + ",".join(str(a) for a in out.values)]
     elif cmd == ("oracle", "chromatic"):
-        poly = oracle_chromatic(parse_gr_file(args.file), force=args.force, memoize=True)
+        poly = oracle_chromatic(parse_gr_file(args.file), force=args.force)
     elif cmd == ("oracle", "flow"):
-        poly = oracle_flow(parse_gr_file(args.file), force=args.force, memoize=True)
+        poly = oracle_flow(parse_gr_file(args.file), force=args.force)
     else:  # pragma: no cover - argparse enforces the command set
         raise ParseError(f"unknown command {cmd}")
 

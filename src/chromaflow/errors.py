@@ -36,17 +36,7 @@ class InvalidTree(ChromaflowError):
 
 
 class NotOuterplanar(ChromaflowError):
-    """Input multigraph admits no outerplanar embedding.
-
-    The message names input vertex ids: template is the message with a
-    {} for each of them, and vertices holds them in order, so that a
-    caller who numbers vertices from 1 can restate it.
-    """
-
-    def __init__(self, template: str, *vertices: int):
-        super().__init__(template.format(*vertices))
-        self.template = template
-        self.vertices = vertices
+    """Input multigraph admits no outerplanar embedding."""
 
 
 class NotBiconnected(ChromaflowError):

@@ -7,8 +7,9 @@ in turn pin down the recursions at small sizes, so correctness rests on
 code simple enough to audit line by line.
 
 The recursions are exponential.  A soft size guard raises TooLarge
-unless force=True; optional memoization (off by default) makes the
-equivalence suites affordable without touching the rewrite rules.  A
+unless force=True.  Every call keeps the subgraphs it has solved in a
+memo dict of its own, always: there is no switch, the rewrite rules
+stay as they are, and the equivalence suites stay affordable.  A
 recursion deeper than the interpreter allows also raises TooLarge; the
 flow oracle knows its depth up front and refuses before any work.
 """
@@ -26,10 +27,8 @@ CHROMATIC_VERTEX_GUARD = 14
 FLOW_EDGE_GUARD = 16
 ENUMERATION_GUARD = 10**8
 
-_Memo = dict | None
 
-
-def oracle_chromatic(g: MultiGraph, *, force: bool = False, memoize: bool = False) -> IntPoly:
+def oracle_chromatic(g: MultiGraph, *, force: bool = False) -> IntPoly:
     """Chromatic polynomial by deletion-contraction.
 
     Rewrite rules, applied in order: any loop kills the polynomial;
@@ -40,12 +39,12 @@ def oracle_chromatic(g: MultiGraph, *, force: bool = False, memoize: bool = Fals
     if g.n > CHROMATIC_VERTEX_GUARD and not force:
         raise TooLarge(f"{g.n} vertices exceeds soft guard {CHROMATIC_VERTEX_GUARD}")
     try:
-        return _chromatic(g, {} if memoize else None)
+        return _chromatic(g, {})
     except RecursionError:
         raise TooLarge(f"{g.n} vertices: deletion-contraction recursion too deep") from None
 
 
-def _chromatic(g: MultiGraph, memo: _Memo) -> IntPoly:
+def _chromatic(g: MultiGraph, memo: dict) -> IntPoly:
     if any(u == v for u, v in g.edges):
         return ZERO
     simple = sorted(set(g.edges))
@@ -58,17 +57,15 @@ def _chromatic(g: MultiGraph, memo: _Memo) -> IntPoly:
     if not simple:
         return T**g.n
     key = (g.n, tuple(simple))
-    if memo is not None and key in memo:
+    if key in memo:
         return memo[key]
     gg = MultiGraph(g.n, simple)
     u, v = simple[0]
-    result = _chromatic(gg.delete_edge(0), memo) - _chromatic(gg.contract(u, v), memo)
-    if memo is not None:
-        memo[key] = result
-    return result
+    memo[key] = _chromatic(gg.delete_edge(0), memo) - _chromatic(gg.contract(u, v), memo)
+    return memo[key]
 
 
-def oracle_flow(g: MultiGraph, *, force: bool = False, memoize: bool = False) -> IntPoly:
+def oracle_flow(g: MultiGraph, *, force: bool = False) -> IntPoly:
     """Flow polynomial by deletion-contraction.
 
     Rules in order: a bridge kills the polynomial; a loop factors out
@@ -83,7 +80,7 @@ def oracle_flow(g: MultiGraph, *, force: bool = False, memoize: bool = False) ->
     if g.m >= sys.getrecursionlimit() and not g.bridges():
         raise TooLarge(f"{g.m} edges: deletion-contraction recursion too deep")
     try:
-        return _flow(g, {} if memoize else None)
+        return _flow(g, {})
     except RecursionError:
         raise TooLarge(f"{g.m} edges: deletion-contraction recursion too deep") from None
 
@@ -108,7 +105,7 @@ def _flow_contract(g: MultiGraph, eid: int) -> MultiGraph:
     return MultiGraph(g.n - 1, kept)
 
 
-def _flow(g: MultiGraph, memo: _Memo) -> IntPoly:
+def _flow(g: MultiGraph, memo: dict) -> IntPoly:
     if g.bridges():
         return ZERO
     for eid, (u, v) in enumerate(g.edges):
@@ -117,12 +114,10 @@ def _flow(g: MultiGraph, memo: _Memo) -> IntPoly:
     if not g.edges:
         return ONE
     key = (g.n, tuple(sorted(g.edges)))
-    if memo is not None and key in memo:
+    if key in memo:
         return memo[key]
-    result = _flow(_flow_contract(g, 0), memo) - _flow(g.delete_edge(0), memo)
-    if memo is not None:
-        memo[key] = result
-    return result
+    memo[key] = _flow(_flow_contract(g, 0), memo) - _flow(g.delete_edge(0), memo)
+    return memo[key]
 
 
 def count_colorings(g: MultiGraph, t: int, *, force: bool = False) -> int:

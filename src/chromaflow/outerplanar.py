@@ -170,8 +170,8 @@ def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
         elif nxt[b] == a:
             lo, hi = b, a
         else:
-            raise NotOuterplanar("vertex {} cannot rejoin the cycle between {} and {}",
-                                 names[x], names[a], names[b])
+            raise NotOuterplanar(f"vertex {names[x]} cannot rejoin the cycle "
+                                 f"between {names[a]} and {names[b]}")
         nxt[lo], nxt[x], prv[x], prv[hi] = x, hi, lo, x
 
     step = nxt if nxt[0] <= prv[0] else prv
@@ -192,7 +192,7 @@ def _certify(n: int, edges: Sequence[Edge], names: Sequence[int]) -> OuterCycle:
     if len(counts) - len(chords) != n:
         u, v = next((u, v) for u, v in zip(order, order[1:] + order[:1])
                     if (min(u, v), max(u, v)) not in counts)
-        raise NotOuterplanar("cycle side ({}, {}) is not an edge", names[u], names[v])
+        raise NotOuterplanar(f"cycle side ({names[u]}, {names[v]}) is not an edge")
 
     intervals = tuple(sorted(
         ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chords),
@@ -212,7 +212,7 @@ def _reject_crossing_chords(intervals: Sequence[tuple[int, int]], order: Sequenc
             stack.pop()
         if stack and not (stack[-1][0] <= i and j <= stack[-1][1]):
             ends = [names[order[x]] for x in (*stack[-1], i, j)]
-            raise NotOuterplanar("chords ({}, {}) and ({}, {}) cross", *ends)
+            raise NotOuterplanar("chords ({}, {}) and ({}, {}) cross".format(*ends))
         stack.append((i, j))
 
 

@@ -454,13 +454,6 @@ def _read(top: IntPoly | _Packed) -> IntPoly:
     return top if isinstance(top, IntPoly) else IntPoly(_unpack(top))
 
 
-def _times_t(top: IntPoly | _Packed) -> IntPoly | _Packed:
-    # t * top; a packed top gains a zero slot at the bottom.
-    if isinstance(top, IntPoly):
-        return IntPoly((0, *top.coeffs))
-    return top._replace(digits=top.digits + "0" * top.w, n=top.n + 1)
-
-
 def _merge(p: IntPoly | _Packed, q: IntPoly | _Packed) -> _Packed:
     # Kronecker substitution at t = 10^w: both operands become one signed
     # Decimal each, libmpdec multiplies them with its number-theoretic

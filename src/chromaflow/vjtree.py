@@ -75,7 +75,6 @@ from .polyring import (
     _Packed,
     _product,
     _read,
-    _times_t,
     balanced_product,
     linear_power,
 )
@@ -330,8 +329,8 @@ def chromatic_vjtree(t: VertexJoinTree) -> IntPoly:
 
 
 def _top(t: VertexJoinTree) -> IntPoly | _Packed:
-    # P: the product of P/t's factors, shifted by t.
-    return _times_t(_product(_factors(t)))
+    # P: t times the factors of P/t, in one product.
+    return _product([T, *_factors(t)])
 
 
 def _factors(t: VertexJoinTree) -> list[IntPoly]:

@@ -64,7 +64,7 @@ def vjt_corpus():
         tree = random_vjtree(rng, n_max=10, mult_max=3, joined=joined)
         g = tree.realize()
         got = chromatic_vjtree(tree)
-        if got == oracle_chromatic(g, memoize=True):
+        if got == oracle_chromatic(g):
             matches += 1
         results.append((g, got))
     return time.perf_counter() - t0, matches, results
@@ -82,7 +82,7 @@ def outerplanar_corpus():
         g = random_outerplanar(rng, n_max=10, mult_max=3, max_loops=2,
                                with_bridge=with_bridge)
         got = flow_outerplanar(g)
-        if got == oracle_flow(g, memoize=True):
+        if got == oracle_flow(g):
             matches += 1
         if with_bridge and got != ZERO:
             bridge_zeros = False
@@ -110,8 +110,8 @@ def wheel_corpus():
         ok = (
             closed == literal
             and closed == faces
-            and closed == oracle_chromatic(g, memoize=True)
-            and fgot == oracle_flow(g, memoize=True, force=True)
+            and closed == oracle_chromatic(g)
+            and fgot == oracle_flow(g, force=True)
         )
         matches += ok
         chromatics.append((g, closed))
@@ -130,7 +130,7 @@ def clique_corpus():
             for subset in itertools.combinations(range(n), r):
                 g = MultiGraph(n + 1, base + [(v, n) for v in subset])
                 got = chromatic_clique_join(n, {v: 1 for v in subset})
-                matches += got == oracle_chromatic(g, memoize=True)
+                matches += got == oracle_chromatic(g)
                 total += 1
                 results.append((g, got))
     return total, matches, results

@@ -160,10 +160,10 @@ def test_one_product_per_graph(monkeypatch):
     g = MultiGraph(7, [(0, 1), (1, 2), (2, 0), (0, 1), (2, 3), (3, 4), (4, 5), (5, 2), (2, 4),
                        (4, 6), (6, 4), (0, 0)])
     assert len(g.blocks()) == 3
-    assert flow_outerplanar(g) == oracle_flow(g, memoize=True)
+    assert flow_outerplanar(g) == oracle_flow(g)
     assert len(calls) == 1
     fan = MultiGraph(8, fan_polygon(8) + [(0, 1)])
-    assert flow_outerplanar(fan) == oracle_flow(fan, force=True, memoize=True)
+    assert flow_outerplanar(fan) == oracle_flow(fan, force=True)
     assert len(calls) == 2
 
 
@@ -184,7 +184,7 @@ def test_bridge_makes_flow_zero():
 def test_oracle_equivalence_random(seed):
     rng = random.Random(seed)
     g = random_outerplanar(rng, n_max=9, mult_max=3, max_loops=2, p_glued=0.5)
-    assert flow_outerplanar(g) == oracle_flow(g, memoize=True)
+    assert flow_outerplanar(g) == oracle_flow(g)
 
 
 @SETTINGS
@@ -193,7 +193,7 @@ def test_oracle_equivalence_with_bridges(seed):
     rng = random.Random(seed)
     g = random_outerplanar(rng, n_max=8, mult_max=2, with_bridge=True)
     assert flow_outerplanar(g) == ZERO
-    assert oracle_flow(g, memoize=True) == ZERO
+    assert oracle_flow(g) == ZERO
 
 
 @SETTINGS
@@ -516,7 +516,7 @@ def test_loops_counted_once_when_nothing_is_shortened():
             h, names, ones = _shorten(g.n, g.edges)
             assert ones == loops + cycles
             assert (h is None and names is None) == (not cycles)
-            assert flow_outerplanar(g) == oracle_flow(g, force=True, memoize=True)
+            assert flow_outerplanar(g) == oracle_flow(g, force=True)
 
 
 @SETTINGS

@@ -204,7 +204,7 @@ def test_root_independence():
 def test_oracle_equivalence_random(seed):
     rng = random.Random(seed)
     t = random_vjtree(rng, n_max=7, mult_max=3)
-    assert chromatic_vjtree(t) == oracle_chromatic(t.realize(), memoize=True)
+    assert chromatic_vjtree(t) == oracle_chromatic(t.realize())
 
 
 @SETTINGS
@@ -250,7 +250,7 @@ def test_heavy_path_sweep_matches_reference_and_oracle():
     swept = 0
     for t in small:
         swept += sweeps_agree(t)
-        assert chromatic_vjtree(t) == oracle_chromatic(t.realize(), memoize=True)
+        assert chromatic_vjtree(t) == oracle_chromatic(t.realize())
     large = [random_caterpillar(rng, n) for n in (200, 301, 400)]
     large += [star(300, rng)]
     for n in (250, 400):
@@ -308,7 +308,7 @@ def test_branching_bricks_run_the_sweep(monkeypatch):
                        {0: 1, 2: 1, 3: 1, 5: 1, 6: 1})
     assert split_bricks(t) == Bricks([2, 1], [Brick((-1,), (3,))])
     expected = T * TM1 * TM2 * cycle_quotient(3) * ((TM2**3) + TM1**2)
-    assert chromatic_vjtree(t) == expected == oracle_chromatic(t.realize(), memoize=True)
+    assert chromatic_vjtree(t) == expected == oracle_chromatic(t.realize())
     assert swept == [Brick((-1,), (3,))]
 
 
@@ -320,7 +320,7 @@ def test_bricks_match_reference_on_random_corpus():
         p = chromatic_vjtree(t)
         compared += sweeps_agree(t)
         if t.n <= 6:
-            assert p == oracle_chromatic(t.realize(), memoize=True)
+            assert p == oracle_chromatic(t.realize())
 
 
 def test_flow_of_triangulated_polygons():
@@ -333,11 +333,11 @@ def test_flow_of_triangulated_polygons():
     for n in range(3, 65):
         edges = fan_polygon(n)
         assert flow_outerplanar(shuffle_labels(rng, n, edges)) == oracle_flow(
-            MultiGraph(n, edges), force=True, memoize=True)
+            MultiGraph(n, edges), force=True)
         edges = triangulated_polygon(rng, n)
         got = flow_outerplanar(shuffle_labels(rng, n, edges))
         if n <= 20:
-            assert got == oracle_flow(MultiGraph(n, edges), force=True, memoize=True)
+            assert got == oracle_flow(MultiGraph(n, edges), force=True)
         dual = build_dual(find_outer_cycle(MultiGraph(n, edges)))
         if n > 3:
             red = strip_bridges(dual)

@@ -144,7 +144,7 @@ def test_wheel_oracle_exhaustive_small():
     for n in range(1, 5):
         for values in itertools.product(range(3), repeat=n):
             phi = PhiString(values)
-            expect = oracle_chromatic(phi.realize(), memoize=True)
+            expect = oracle_chromatic(phi.realize())
             assert chromatic_wheel_telescoped(phi) == expect
             assert chromatic_wheel_stepwise(phi) == expect
             assert chromatic_wheel(phi) == expect
@@ -169,7 +169,7 @@ def test_flow_wheel_duality_identity():
 def test_wheel_oracle_random(seed):
     rng = random.Random(seed)
     phi = random_phi(rng, n_max=7, a_max=3)
-    expect = oracle_chromatic(phi.realize(), memoize=True)
+    expect = oracle_chromatic(phi.realize())
     assert chromatic_wheel_telescoped(phi) == expect
     assert chromatic_wheel_stepwise(phi) == expect
     assert chromatic_wheel(phi) == expect
@@ -180,7 +180,7 @@ def test_wheel_oracle_random(seed):
 def test_flow_wheel_oracle_random(seed):
     rng = random.Random(seed)
     phi = random_phi(rng, n_max=5, a_max=2, require_spokes=True)
-    assert flow_wheel(phi) == oracle_flow(phi.realize(), memoize=True)
+    assert flow_wheel(phi) == oracle_flow(phi.realize())
 
 
 @settings(max_examples=20, deadline=None)

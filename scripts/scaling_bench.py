@@ -18,12 +18,14 @@ entry joined with probability 1/2; its rows are the same as for tree.
 of the vertices, picked at random, joined to the apex; its rows are
 the same as for tree.
 
-For tree, clique, outerplanar, triangulated and fan, each row also
-gives what a user of the command line waits for: the best time of
-`chromaflow chromatic tree` (on the instance written as a .vjt file),
+For every family but bridged, each row also gives what a user of the
+command line waits for: the best time of `chromaflow chromatic tree`
+(on the instance written as a .vjt file), `chromaflow chromatic wheel`,
 `chromaflow chromatic clique` or `chromaflow flow outerplanar` (on the
 graph written as a .gr file), run in this process through cli.run
-with stdout captured, and the bytes it prints.
+with stdout captured, and the bytes it prints.  A wheel longer than
+the command line's limit (cli.MAX_PHI_LENGTH) gets no command-line
+time.
 
 --family outerplanar times flow_outerplanar on one polygon per size
 with n/200 non-crossing chords and shuffled vertex labels, where the
@@ -44,8 +46,9 @@ current directory, or BENCH_scaling-<family>-<label>.json with
 --label: one row per size with n, the best seconds, the ratio to the
 previous row (null on the first), the maximum coefficient bits
 (null for outerplanar), and cli_seconds and output_bytes (null for
-bridged and wheel), next to the machine, its CPU count, the
-Python version, the seed and the repeat count.  The package is
+bridged, and for wheels past the command line's limit), next to the
+machine, its CPU count, the Python version, the seed and the repeat
+count.  The package is
 imported as Python finds it, so PYTHONPATH=<checkout>/src times
 another checkout.
 """
@@ -62,7 +65,7 @@ import random
 import tempfile
 import time
 
-from chromaflow.cli import run
+from chromaflow.cli import MAX_PHI_LENGTH, run
 from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_labels, triangulated_polygon
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
@@ -145,6 +148,13 @@ def gr_argv(g: MultiGraph, workdir: str) -> list[str]:
     return ["flow", "outerplanar", path]
 
 
+def wheel_argv(phi: PhiString, workdir: str) -> list[str] | None:
+    """`chromatic wheel` on phi, or None past the command line's length limit."""
+    if phi.n > MAX_PHI_LENGTH:
+        return None
+    return ["chromatic", "wheel", "--phi", ",".join(map(str, phi.values))]
+
+
 def clique_argv(instance: tuple[int, dict[int, int]], workdir: str) -> list[str]:
     """`chromatic clique` on (n, mult); it needs no file."""
     n, mult = instance
@@ -187,7 +197,7 @@ def main() -> None:
                "clique": lambda nm: chromatic_clique_join(*nm)}.get(args.family, chromatic_vjtree)
     show_bits = args.family != "outerplanar"
     argv_of = {"tree": tree_argv, "clique": clique_argv, "outerplanar": gr_argv,
-               "triangulated": gr_argv, "fan": gr_argv}.get(args.family)
+               "triangulated": gr_argv, "fan": gr_argv, "wheel": wheel_argv}.get(args.family)
 
     rng = random.Random(args.seed)
     print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else "")
@@ -207,11 +217,13 @@ def main() -> None:
             bits = max(abs(c).bit_length() for c in poly.coeffs) if show_bits else None
             del poly
             cli_seconds = output_bytes = None
-            if argv_of:
-                cli_seconds, output_bytes = time_cli(argv_of(instance, workdir), args.repeat)
+            argv = argv_of(instance, workdir) if argv_of else None
+            if argv:
+                cli_seconds, output_bytes = time_cli(argv, args.repeat)
             print(f"{n:>8} {best:>10.3f} " + (f"{ratio:7.2f}" if prev else f"{'-':>7}")
                   + (f" {bits:>15}" if show_bits else "")
-                  + (f" {cli_seconds:>12.3f} {output_bytes:>13}" if argv_of else ""))
+                  + (f" {cli_seconds:>12.3f} {output_bytes:>13}" if argv else
+                     f" {'-':>12} {'-':>13}" if argv_of else ""))
             rows.append({"n": n, "seconds": best, "ratio": ratio, "max_coeff_bits": bits,
                          "cli_seconds": cli_seconds, "output_bytes": output_bytes})
             prev = best

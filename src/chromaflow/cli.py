@@ -133,7 +133,11 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
                     raise ParseError(f"{path}:{lineno}: tree edge ({u}, {v}) is a loop")
                 edges.append((u - 1, v - 1))
             elif tok[0] == "join" and len(tok) == 3 and n is not None:
-                v, m = int(tok[1]), _to_int(tok[2])
+                v = int(tok[1])
+                try:
+                    m = int(tok[2])
+                except ValueError:  # past the interpreter's digit limit, or not an integer
+                    m = _to_int(tok[2])
                 if m < 1:
                     raise ParseError(f"{path}:{lineno}: join multiplicity must be >= 1")
                 if not 0 < v <= n:

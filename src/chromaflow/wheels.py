@@ -152,10 +152,10 @@ def chromatic_wheel(phi: PhiString) -> IntPoly:
     """Chromatic polynomial of the wheel: t times the face product."""
     joined = [i for i, a in enumerate(phi.values) if a]
     if not joined:
-        return T * chromatic_cycle(phi.n)
+        return IntPoly((0, *chromatic_cycle(phi.n).coeffs))
     # Cycle edges between consecutive joined vertices, the last run wrapping.
     runs = [j - i for i, j in zip(joined, [*joined[1:], joined[0] + phi.n])]
-    return T * _face_product(runs)
+    return IntPoly((0, *_face_product(runs).coeffs))
 
 
 def flow_wheel(phi: PhiString) -> IntPoly:

@@ -533,6 +533,60 @@ def test_int_tokens_follow_int_syntax(tmp_path, capsys):
     assert code == 2 and "bad integer" in err
 
 
+JOIN_TOKENS = [
+    "7", "+7", "-7", "0", "007", "1_000", "+1_0", "-0_3", "٣", "١_٢",
+    "1__0", "_1", "1_", "--3", "+-1", "1.0", "0x10", "x", "٣x",
+    "4" * 4300, "5" * 4301, "6" * 5000, "-" + "6" * 5000, "1_" + "2" * 4999, "7" * 4999 + "x",
+]
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_join_multiplicity_int_first_matches_to_int(tmp_path, limit):
+    # The .vjt reader tries int() first and falls back to cli._to_int
+    # only when int() refuses; int() refuses only past the digit limit,
+    # so every token reads as _to_int reads it, with the same messages.
+    fell_back = 0
+    for tok in JOIN_TOKENS:
+        try:
+            expect = cli._to_int(tok)
+        except ValueError:
+            expect = None
+        with int_digit_limit(limit):
+            try:
+                first = int(tok)
+            except ValueError:
+                first = None
+            if first is None and expect is not None:
+                fell_back += 1
+                assert sum(ch.isdigit() for ch in tok) > limit
+            else:
+                assert first == expect
+            path = write(tmp_path, "j.vjt", f"vjt 2\nedge 1 2\njoin 1 {tok}\n")
+            if expect is None:
+                with pytest.raises(ParseError, match=r":3: bad integer in "):
+                    parse_vjt_file(path)
+            elif expect < 1:
+                with pytest.raises(ParseError, match=r":3: join multiplicity must be >= 1"):
+                    parse_vjt_file(path)
+            else:
+                assert parse_vjt_file(path).mult == {0: expect}
+    assert fell_back == (5 if limit == 640 else 4)
+
+
+@needs_digit_limit
+def test_wide_join_multiplicity_parses_under_the_smallest_digit_limit(tmp_path, capsys):
+    before = sys.get_int_max_str_digits()
+    path = write(tmp_path, "wide.vjt", VJT_SQUARE + f"join 3 {'8' * 5000}\n")
+    with int_digit_limit(640):
+        t = parse_vjt_file(path)
+        code, out, err = invoke(capsys, "chromatic", "tree", path)
+    assert sys.get_int_max_str_digits() == before
+    assert t.mult == {0: 1, 2: 1 + cli._to_int("8" * 5000)}
+    assert (code, err) == (0, "")
+    assert out == "poly 0 3 -9 10 -5 1\n"
+
+
 def test_clique_size_guard(monkeypatch, capsys):
     calls = []
 

@@ -5,13 +5,17 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chromaflow.polyring as polyring
 from chromaflow.errors import InvalidSize, NonExactDivision
 from chromaflow.polyring import (
+    _GROUP_BITS,
     FAST_MUL_CUTOFF,
     ONE,
     T,
@@ -262,6 +266,97 @@ def test_product_read_back_and_shift(factors):
     assert isinstance(top, _Packed) == (factors is LONG_FACTORS)
     assert _read(top) == balanced_product(polys)
     assert _read(_product([T, *polys])) == T * balanced_product(polys)
+
+
+def _heap_product(factors):
+    # _product as it was before short factors were grouped: the heap
+    # alone, pair by pair, schoolbook below the cutoff and _merge above.
+    tie = count()
+    heap = [(len(p.coeffs), next(tie), p) for p in factors]
+    if not heap:
+        return ONE
+    heapify(heap)
+    while len(heap) > 1:
+        n, _, p = heappop(heap)
+        m, _, q = heappop(heap)
+        if isinstance(p, IntPoly) and isinstance(q, IntPoly) and min(n, m) < FAST_MUL_CUTOFF:
+            r = p * q
+            size = len(r.coeffs)
+        else:
+            r = _merge(p, q)
+            size = r.n
+        heappush(heap, (size, next(tie), r))
+    return heap[0][2]
+
+
+def _check_product(polys):
+    seq = [1]
+    for p in polys:
+        seq = _mul_schoolbook(seq, p.coeffs)
+    expect = IntPoly(seq)
+    assert _read(_product(polys)) == expect
+    assert _read(_heap_product(polys)) == expect
+    assert _read(_product([T, *polys])) == T * balanced_product(polys) == T * expect
+
+
+def _one_sign_factor(seed: int, length: int, bits: int, negative: bool) -> IntPoly:
+    # Coefficients of one sign, so that l1 of the product is the product
+    # of the factors' l1 and the slot width bound is tight.
+    rng = random.Random(seed)
+    cs = [rng.randint(0, 2**bits) for _ in range(length)]
+    cs[-1] = cs[-1] or 1
+    return IntPoly([-c for c in cs] if negative else cs)
+
+
+factor_specs = st.tuples(
+    st.integers(0, 2**32), st.integers(1, 60), st.integers(0, 300), st.booleans()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            factor_specs.map(lambda spec: _one_sign_factor(*spec)),
+            st.sampled_from([ONE, -ONE, ZERO]),
+        ),
+        max_size=40,
+    )
+)
+@example([])
+@example([ZERO])
+@example([_one_sign_factor(1, 60, 300, True)])
+@example([-ONE, ONE, _one_sign_factor(2, 1, 300, False)])
+def test_grouped_product_matches_heap_and_sequential(polys):
+    _check_product(polys)
+    top = _product(polys)
+    if len(polys) == 1:
+        assert top is polys[0]
+    if ZERO in polys:
+        assert top is ZERO
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_group_closes_past_the_limit(monkeypatch, over):
+    # Seven linear factors pack into (7 + 1) x sum of bit lengths bits:
+    # exactly _GROUP_BITS makes one group, one bit more closes the group
+    # before the last factor.
+    total = _GROUP_BITS // 8 + over
+    bits = [total // 7] * 6
+    bits.append(total - sum(bits))
+    polys = [IntPoly((2**b - 2, 1)) for b in bits]
+    assert sum(sum(p.coeffs).bit_length() for p in polys) == total
+    groups = []
+    at_two_power = polyring._at_two_power
+
+    def record(group, group_bits):
+        groups.append(len(group))
+        return at_two_power(group, group_bits)
+
+    _check_product(polys)
+    monkeypatch.setattr(polyring, "_at_two_power", record)
+    _product(polys)
+    assert groups == ([7] if over == 0 else [6, 1])
 
 
 @SETTINGS

@@ -2,12 +2,16 @@
 """Code lines per module under src/chromaflow/, and their total.
 
     python3 scripts/code_lines.py [ROOT]
+    python3 scripts/code_lines.py PARENT CHANGE
 
 A line counts when it holds part of a Python token other than a
 comment, and is not part of a docstring: the string that opens a
 module, class or function body.  Blank lines, comment-only lines and
 docstrings do not count.  ROOT is the checkout to count in, by default
-the one this script sits in.
+the one this script sits in.  Given two checkouts, it prints the
+parent's count, the change's and the change less the parent for every
+module of either, and for the total; a module that one side lacks
+counts 0 there.
 """
 
 from __future__ import annotations
@@ -35,14 +39,28 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def counts(root: Path) -> dict[str, int]:
+    """Code lines of each module of root's src/chromaflow/, by file name."""
+    return {path.name: code_lines(path.read_text())
+            for path in sorted((root / "src" / "chromaflow").glob("*.py"))}
+
+
 def main(argv: list[str]) -> None:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    total = 0
-    for path in sorted((root / "src" / "chromaflow").glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    if len(argv) > 2:
+        raise SystemExit("usage: code_lines.py [ROOT] | code_lines.py PARENT CHANGE")
+    roots =[Path(a) for a in argv] or [Path(__file__).resolve().parent.parent]
+    sides = [counts(root) for root in roots]
+    for side in sides:
+        side["total"] = sum(side.values())
+    if len(sides) == 2:
+        print(f"{'parent':>6} {'change':>6} {'delta':>6}")
+    for name in [*sorted(set().union(*sides) - {"total"}), "total"]:
+        row = [side.get(name, 0) for side in sides]
+        if len(row) == 2:
+            row.append(row[1] - row[0])
+            print(f"{row[0]:6d} {row[1]:6d} {row[2]:+6d}  {name}")
+        else:
+            print(f"{row[0]:6d}  {name}")
 
 
 if __name__ == "__main__":

@@ -19,10 +19,16 @@ prints that text, and the read-back converts it into ints.
 A product of many factors first multiplies groups of short ones at one
 point, t = 2^w: each factor of a group becomes one int, the ints
 multiply in a balanced tree, and the group's coefficients are read
-back from the bits of the one result.  The width w comes from the
-factors alone: every coefficient of a product is at most the product
-of the factors' l1 norms.  The group products then pair up on the two
-paths above.
+back from the bits of the one result.  The group products then pair
+up on the two paths above.
+
+Every slot width, at t = 10^w and at t = 2^w, comes from one bound:
+every coefficient of a product, and its l1 norm, is at most the
+product of the factors' l1 norms, so a width from the sum of their l1
+bit lengths holds them.  A packed product carries that sum (bits) to
+the next multiply, which sizes its slots from it without reading the
+digits; for a packed top it bounds the output, n coefficients of under
+2^bits each.
 
 Powers of a linear factor, (t - a)^k, come from their binomial row
 (linear_power) in O(k) small-integer steps; the closed forms and the
@@ -272,8 +278,9 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _max_bits(cs: Sequence[int]) -> int:
-    return max(c if c >= 0 else -c for c in cs).bit_length()
+def _l1_bits(cs: Sequence[int]) -> int:
+    # A b with l1(p) = sum |c| < 2^b, and so every |c| < 2^b.
+    return sum(map(abs, cs)).bit_length()
 
 
 def _width(bits: int) -> int:
@@ -285,26 +292,21 @@ def _width(bits: int) -> int:
 class _Packed(NamedTuple):
     """A Kronecker product kept as text: the sign of sum(c_k 10^(w k)),
     k < n, and the digits of its absolute value zero-filled to n w, one
-    w-digit slot per coefficient (read by _slots)."""
+    w-digit slot per coefficient (read by _slots).  bits bounds the
+    product's l1 norm, sum |c_k| < 2^bits, and w = _width(bits); so it
+    also bounds the output, n coefficients of under 2^bits each."""
 
     negative: bool
     digits: str
     w: int
     n: int
+    bits: int
 
     @staticmethod
-    def of(value: Decimal, w: int, n: int) -> _Packed:
+    def of(value: Decimal, n: int, bits: int) -> _Packed:
         digits = str(value)
-        negative = digits[0] == "-"
-        return _Packed(negative, digits.lstrip("-").zfill(n * w), w, n)
-
-    def bits(self) -> int:
-        """A b with every |c_k| < 2^b, read off the digits."""
-        # A slot of c >= 0 has leading zeros, one of c < 0 leading nines
-        # (it reads 10^w + c less a borrow); |c| <= 10^d for the d digits
-        # left, and 10^d < 2^(3.32193 d + 1).
-        d = max(len(slot.lstrip("9" if neg else "0")) for slot, neg in _slots(self.digits, self.w))
-        return d * 332193 // 100000 + 2
+        w = _width(bits)
+        return _Packed(digits[0] == "-", digits.lstrip("-").zfill(n * w), w, n, bits)
 
     def at_width(self, w: int) -> Decimal:
         """The same coefficients packed at a slot width w >= self.w."""
@@ -488,7 +490,7 @@ def _groups(fs: list[IntPoly]) -> Iterator[tuple[list[IntPoly], int]]:
     group: list[IntPoly] = []
     size, bits = 1, 0
     for f in fs:
-        fbits = sum(map(abs, f.coeffs)).bit_length()
+        fbits = _l1_bits(f.coeffs)
         if group and (size + len(f.coeffs) - 1) * (bits + fbits) > _GROUP_BITS:
             yield group, bits
             group, size, bits = [], 1, 0
@@ -534,13 +536,16 @@ def _merge(p: IntPoly | _Packed, q: IntPoly | _Packed) -> _Packed:
     # Decimal each, libmpdec multiplies them with its number-theoretic
     # transform, and the product stays packed.  A packed operand keeps
     # its slot width or is widened as digits, never read back into ints.
-    (n, pbits, pw), (m, qbits, qw) = (
-        (x.n, x.bits(), x.w) if isinstance(x, _Packed) else (len(x.coeffs), _max_bits(x.coeffs), 0)
-        for x in (p, q)
+    # l1(pq) <= l1(p) l1(q) < 2^(pbits + qbits), so the product carries
+    # that sum as its bound; the bound only grows, so a packed operand's
+    # width is never above w.
+    (n, pbits), (m, qbits) = (
+        (x.n, x.bits) if isinstance(x, _Packed) else (len(x.coeffs), _l1_bits(x.coeffs)) for x in (p, q)
     )
-    w = max(_width(pbits + qbits + min(n, m).bit_length()), pw, qw)
+    bits = pbits + qbits
+    w = _width(bits)
     a, b = (x.at_width(w) if isinstance(x, _Packed) else _pack(x.coeffs, w) for x in (p, q))
-    return _Packed.of(_EXACT.multiply(a, b), w, n + m - 1)
+    return _Packed.of(_EXACT.multiply(a, b), n + m - 1, bits)
 
 
 def linear_power(a: int, k: int) -> IntPoly:

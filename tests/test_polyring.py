@@ -28,6 +28,7 @@ from chromaflow.polyring import (
     _product,
     _read,
     _unpack,
+    _width,
     balanced_product,
     chromatic_complete,
     chromatic_cycle,
@@ -357,6 +358,22 @@ def test_group_closes_past_the_limit(monkeypatch, over):
     monkeypatch.setattr(polyring, "_at_two_power", record)
     _product(polys)
     assert groups == ([7] if over == 0 else [6, 1])
+
+
+@pytest.mark.parametrize("k, negate", [(16, False), (64, True), (300, False)])
+def test_merge_chain_at_the_edge_of_its_bound(k, negate):
+    # Factors of one sign with l1 = 2^k - 1 and a dominant constant
+    # term: after two levels of carried bounds the product's constant
+    # term is within a factor 2 of 2^bits, so a slot one digit narrower,
+    # or a bound a few bits short, cannot hold it.
+    f = IntPoly((2**k - 48, *[1] * 47))
+    p, q, r, s = -f if negate else f, f, f, f
+    top = _merge(_merge(p, q), _merge(r, s))
+    expect = _mul_schoolbook(_mul_schoolbook(p.coeffs, q.coeffs), _mul_schoolbook(f.coeffs, f.coeffs))
+    assert 2 * abs(expect[0]) >= 1 << top.bits
+    assert top.w == _width(top.bits)
+    assert _unpack(top) == expect
+    assert list(_decimals(top)) == [str(c) for c in expect]
 
 
 @SETTINGS

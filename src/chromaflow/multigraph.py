@@ -12,8 +12,12 @@ creates a loop.
 Every MultiGraph holds each edge normalized, 0 <= u <= v < n, in a
 tuple.  The constructor checks and normalizes the edges it is given;
 the private MultiGraph._trusted stores edges that already satisfy that
-invariant as they are, for the .gr reader and the outerplanar series
-reduction (_shorten, _top), which check or build every edge themselves.
+invariant as they are, for the .gr reader, which checks every id and
+normalizes every edge itself.
+
+The block walk (_walk_blocks) reads adjacency lists, not a graph, and
+one function (_adjacency) makes them from pairs in either order, so the
+outerplanar flow walks the pairs it was handed without a MultiGraph.
 """
 
 from __future__ import annotations
@@ -77,12 +81,7 @@ class MultiGraph:
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """adj[v] = [(neighbor, edge id), ...]; loops omitted."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            if u != v:
-                adj[u].append((v, eid))
-                adj[v].append((u, eid))
-        return adj
+        return _adjacency(self.n, self.edges)
 
     # -- queries -------------------------------------------------------------
 
@@ -114,7 +113,7 @@ class MultiGraph:
         parallel copy of it closes a cycle.  Loops belong to no block; a
         bridge is a block of one edge.
         """
-        return [tuple(sorted(block)) for _, block in _walk_blocks(self, False)[0]]
+        return [tuple(sorted(block)) for _, block in _walk_blocks(self.adjacency(), False)[0]]
 
     def bridges(self) -> frozenset[int]:
         """Edge ids whose removal disconnects their component.
@@ -165,8 +164,22 @@ class MultiGraph:
         return MultiGraph(len(keep), sub)
 
 
-def _walk_blocks(g: MultiGraph, pairs: bool) -> tuple[list[tuple[list[int], list]], list[int]]:
-    """The blocks of g in closing order, and the vertex at each discovery time.
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """adj[v] = [(neighbor, edge id), ...] of the graph of pairs on range(n).
+
+    Edge i is the i-th pair, which may name its ends in either order.
+    Loops keep their ids but appear in no list.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(pairs):
+        if u != v:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    return adj
+
+
+def _walk_blocks(adj: list[list], pairs: bool) -> tuple[list[tuple[list[int], list]], list[int]]:
+    """The blocks of adj's graph in closing order, and the vertex at each discovery time.
 
     A block comes as (times, stacked): the discovery times of its
     vertices in increasing order, and what its edges stacked, their ids
@@ -174,11 +187,11 @@ def _walk_blocks(g: MultiGraph, pairs: bool) -> tuple[list[tuple[list[int], list
     ends.  With pairs, a block thus comes out already in DFS-discovery
     labels, with no pass over the graph's own edges afterwards.
 
-    It reads g.adjacency() (edges by increasing id, loops left out)
-    with one cursor per vertex, where the search resumes on return.
+    adj holds the lists _adjacency builds (edges by increasing id,
+    loops left out); the walk reads them with one cursor per vertex,
+    where the search resumes on return.
     """
-    n = g.n
-    adj = g.adjacency()
+    n = len(adj)
     cur = [0] * n
     disc = [-1] * n
     low = [0] * n

@@ -43,16 +43,18 @@ on that smaller graph H.  Two facts make this exact:
 
 On long polygons, where nearly every vertex has degree 2, H is a small
 fraction of G.  When no path has two or more inner vertices, as in fans
-and triangulations, H is G itself: the caller's graph when it holds
-one, so no copy is made.
+and triangulations, H is G itself, and no edge is copied.
 
 The shortening reads G's edges as pairs of vertex ids in range(size),
 each written in either order: flow_outerplanar hands over g.edges as
 they are, and the CLI the two columns of a .gr file's 1-based ids as
 the file writes them (_Columns), with size = n + 1, so slot 0 is an
-isolated vertex, which is inert.  No list of pairs is built for a file.
-The caller's ids are the names throughout: H records the id of each of
-its vertices, and an unshortened G keeps them.
+isolated vertex, which is inert.  No list of pairs is built for a file,
+and no MultiGraph on either route: the block walk reads adjacency lists
+(multigraph._adjacency) built from H's pairs, which are the caller's
+own when G is unshortened, ends in either order.  The caller's ids are
+the names throughout: H records the id of each of its vertices, and an
+unshortened G keeps them.
 
 flow_outerplanar takes H's blocks from one flat block walk
 (multigraph._walk_blocks), which hands each block over in DFS-discovery
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
-from .multigraph import MultiGraph, _walk_blocks
+from .multigraph import MultiGraph, _adjacency, _walk_blocks
 from .polyring import ZERO, IntPoly, _Packed, _product, _read, linear_power
 from .vjtree import VertexJoinTree, _factors
 
@@ -255,41 +257,34 @@ def build_dual(oc: OuterCycle) -> VertexJoinTree:
             stack.append((intervals[k - 1][1], k))
         owner.append(stack[-1][1] if stack else 0)
 
-    mult: dict[int, int] = {}
+    count = oc.parallel_count
     total = len(intervals) + 1
-    extra_edges: list[Edge] = []
 
+    def chain(start: int, k: int, into: list[Edge]) -> int:
+        # The path of k - 1 new faces from start, its edges appended to
+        # into; returns its far end, start itself when k == 1.
+        nonlocal total
+        for _ in range(k - 1):
+            into.append((start, total))
+            start = total
+            total += 1
+        return start
+
+    # The side bundles' faces are numbered first, the chord bundles'
+    # after them, and the chord edges lead the tree's edge list.
+    mult: dict[int, int] = {}
+    side_edges: list[Edge] = []
     for p in range(n):
         u, v = order[p], order[(p + 1) % n]
-        e = (u, v) if u <= v else (v, u)
-        k = oc.parallel_count[e]
-        face = owner[p]
-        if k == 1:
-            mult[face] = mult.get(face, 0) + 1
-        else:
-            prev = face
-            for _ in range(k - 1):
-                extra_edges.append((prev, total))
-                prev = total
-                total += 1
-            mult[prev] = mult.get(prev, 0) + 1
+        end = chain(owner[p], count[(u, v) if u <= v else (v, u)], side_edges)
+        mult[end] = mult.get(end, 0) + 1
 
     dual_edges: list[Edge] = []
-    for iv, (a, b) in zip(intervals, tree_edges):
-        u, v = order[iv[0]], order[iv[1]]
-        e = (u, v) if u <= v else (v, u)
-        k = oc.parallel_count[e]
-        if k == 1:
-            dual_edges.append((a, b))
-        else:
-            prev = a
-            for _ in range(k - 1):
-                dual_edges.append((prev, total))
-                prev = total
-                total += 1
-            dual_edges.append((prev, b))
+    for (i, j), (a, b) in zip(intervals, tree_edges):
+        u, v = order[i], order[j]
+        dual_edges.append((chain(a, count[(u, v) if u <= v else (v, u)], dual_edges), b))
 
-    dual_edges.extend(extra_edges)
+    dual_edges.extend(side_edges)
     return VertexJoinTree(total, tuple(dual_edges), mult)
 
 
@@ -310,29 +305,30 @@ class _Columns:
         return zip(self.us, self.vs)
 
 
-def _shorten(size: int, edges: Iterable[Edge]) -> tuple[MultiGraph | None, list[int] | None, int]:
-    """The graph of edges, its degree-2 paths shortened to one inner vertex.
+def _shorten(size: int, edges: Iterable[Edge]) -> tuple[list[Edge] | None, list[int] | None, int]:
+    """The edges of H: the graph of edges, its degree-2 paths shortened to one inner vertex.
 
     edges is read several times: a sequence of pairs, or _Columns.  A
     pair may name its ends in either order, and every id is in
     range(size); an id no edge meets is an isolated vertex and is
-    inert.  Returns (h, names, ones): vertex x of h is the caller's
-    vertex names[x], and ones counts the (t - 1) factors of the loops
-    and of the components that are one cycle, all of which h's blocks
-    leave out.  Loops do not count toward degree, and isolated vertices
-    are dropped.  A path is kept as its first inner vertex, so one that
+    inert.  Returns (kept, names, ones): kept lists H's edges as pairs
+    on range(len(names)), vertex x of H is the caller's vertex
+    names[x], and ones counts the (t - 1) factors of the loops and of
+    the components that are one cycle, all of which H's blocks leave
+    out.  Loops do not count toward degree, and isolated vertices are
+    dropped.  A path is kept as its first inner vertex, so one that
     leaves a and returns to a becomes the digon a-x-a, and one that ends
     at a degree-1 vertex keeps it.  When no path has two or more inner
-    vertices, h and names are None: nothing is shortened, and the
-    caller's own graph, loops included, serves, since the block walk
-    passes over the loops.
+    vertices, kept and names are None: nothing is shortened, and the
+    caller's edges, loops included, serve as they are, since the block
+    walk passes over the loops.
 
     One pass over the edges finds each vertex's degree and the sum of
-    its neighbours, and the paths are walked over the same edges.  h is
-    built with MultiGraph._trusted, without a second check: it numbers
-    the vertices it keeps in increasing order of their ids, then one
-    inner vertex per path after all of them, so each kept edge is
-    written with its smaller end first.
+    its neighbours, and the paths are walked over the same edges.  The
+    kept vertices are numbered in increasing order of their ids, then
+    one inner vertex per path after all of them, and each kept edge is
+    written with its smaller end first, so pairs and columns of one
+    graph shorten to the same kept list.
     """
     deg = [0] * size
     nsum = [0] * size
@@ -390,7 +386,7 @@ def _shorten(size: int, edges: Iterable[Edge]) -> tuple[MultiGraph | None, list[
                 while not seen[x]:
                     seen[x] = 1
                     prev, x = x, nsum[x] - prev
-    return MultiGraph._trusted(len(names), kept), names, ones
+    return kept, names, ones
 
 
 def flow_outerplanar(g: MultiGraph) -> IntPoly:
@@ -403,24 +399,24 @@ def flow_outerplanar(g: MultiGraph) -> IntPoly:
     dual: F = P(dual) / t per block, whose factors vjtree._factors
     names.  All factors meet in one balanced product.
     """
-    return _read(_top(g.n, g.edges, g))
+    return _read(_top(g.n, g.edges))
 
 
-def _top(size: int, edges: Iterable[Edge], g: MultiGraph | None = None) -> IntPoly | _Packed:
+def _top(size: int, edges: Iterable[Edge]) -> IntPoly | _Packed:
     # flow_outerplanar's product, packed when it is wide, for the graph
-    # of edges (as _shorten reads them) on range(size), which is g when
-    # the caller holds it.  Messages name the vertices by these ids.
-    h, names, ones = _shorten(size, edges)
-    if h is None:
-        h = g if g is not None else MultiGraph._trusted(
-            size, [(u, v) if u <= v else (v, u) for u, v in edges])
-    blocks, order = _walk_blocks(h, True)
+    # of edges (as _shorten reads them) on range(size).  The block walk
+    # reads H's adjacency lists, built from the kept pairs or, when
+    # nothing is shortened, from edges themselves.  Messages name the
+    # vertices by the ids of edges.
+    kept, names, ones = _shorten(size, edges)
+    adj = _adjacency(size, edges) if kept is None else _adjacency(len(names), kept)
+    blocks, order = _walk_blocks(adj, True)
     if any(len(pairs) == 1 for _, pairs in blocks):
         return ZERO
     if names is not None:
         order = [names[v] for v in order]
     factors = [linear_power(1, ones)] if ones else []
-    label = [0] * h.n
+    label = [0] * len(adj)
     for times, pairs in blocks:
         # Compact the block's discovery times to 0..k-1, in order.
         for i, d in enumerate(times):

@@ -18,7 +18,7 @@ import chromaflow.wheels as wheels
 from chromaflow.cli import format_poly, parse_gr_file, parse_vjt_file, run
 from chromaflow.errors import NotOuterplanar, ParseError
 from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_labels, triangulated_polygon
-from chromaflow.multigraph import MultiGraph
+from chromaflow.multigraph import MultiGraph, _adjacency
 from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.polyring import FAST_MUL_CUTOFF, IntPoly, ZERO, _Packed
 from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
@@ -403,6 +403,31 @@ def test_cli_prints_the_library_polynomial(tmp_path, capsys):
         assert (code, err) == (0, "")
         assert out.splitlines() == [_poly_line(poly), *(f"eval {x} {poly.evaluate(x)}"
                                                          for x in (-3, 0, 2, 7, 1000))]
+
+
+def test_flow_outerplanar_files_with_nothing_to_shorten(tmp_path, capsys):
+    # No path of a fan or of a triangulated polygon has two inner
+    # vertices, loops and isolated vertices added or not, so `flow
+    # outerplanar` walks the blocks of the file's own columns, each
+    # edge written with its ends in random order.
+    rng = random.Random(3141)
+    for i in range(40):
+        n = rng.choice((4, 5, 6, 9, 17, 60, 200))
+        base = fan_polygon(n) if i % 2 else triangulated_polygon(rng, n)
+        size = n + rng.randint(0, 3)
+        loops = [(v, v) for v in rng.choices(range(size), k=rng.randint(0, 3))]
+        g = shuffle_labels(rng, size, base + loops)
+        assert outerplanar._shorten(g.n, g.edges)[0] is None
+        lines = [f"e {u + 1} {v + 1}" if rng.random() < 0.5 else f"e {v + 1} {u + 1}"
+                 for u, v in g.edges]
+        path = write(tmp_path, f"g{i}.gr", "\n".join([f"p edge {g.n} {g.m}", *lines]) + "\n")
+        expect = (0, _poly_line(flow_outerplanar(g)) + "\n", "")
+        assert invoke(capsys, "flow", "outerplanar", path) == expect
+        # The walk's lists over the raw 1-based columns are those of the
+        # normalized graph, shifted by one and with slot 0 isolated.
+        n, us, vs = cli._gr_columns(path)
+        shifted = [[]] + [[(w + 1, e) for w, e in row] for row in parse_gr_file(path).adjacency()]
+        assert _adjacency(n + 1, outerplanar._Columns(us, vs)) == shifted
 
 
 @needs_digit_limit

@@ -359,7 +359,7 @@ def _csr_walk_blocks(g, pairs):
 
 def _assert_walks_agree(g):
     for pairs in (False, True):
-        assert _walk_blocks(g, pairs) == _csr_walk_blocks(g, pairs)
+        assert _walk_blocks(g.adjacency(), pairs) == _csr_walk_blocks(g, pairs)
 
 
 def test_walk_matches_csr_walk():

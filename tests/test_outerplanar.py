@@ -16,7 +16,7 @@ from chromaflow import cli, outerplanar, vjtree
 from chromaflow.errors import NotBiconnected, NotOuterplanar
 from chromaflow.generators import (fan_polygon, random_outerplanar, random_outerplanar_block,
                                    shuffle_labels, triangulated_polygon)
-from chromaflow.multigraph import MultiGraph, _walk_blocks
+from chromaflow.multigraph import MultiGraph, _adjacency, _walk_blocks
 from chromaflow.oracle import oracle_flow
 from chromaflow.outerplanar import (_certify, _reject_crossing_chords, _shorten, build_dual,
                                     find_outer_cycle, flow_outerplanar)
@@ -123,6 +123,26 @@ def test_build_dual_banana():
     dual = build_dual(find_outer_cycle(banana))
     assert dual.n == 2 and dual.tree_edges == ((0, 1),)
     assert chromatic_vjtree(dual).exact_div(T) == oracle_flow(banana)
+
+
+def test_build_dual_bundles_frozen():
+    # A bundle of k copies grows a path of k - 1 two-sided faces.  The
+    # side bundles' faces are numbered first, in the order of the sides,
+    # then the chord bundles' in the order of the chords; the chord
+    # dual edges come first in tree_edges, the side paths after them.
+    square = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    cases = [
+        (4, square + [(0, 1)] * 2, 3, ((0, 1), (1, 2)), {0: 3, 2: 1}),
+        (4, square + [(0, 2)] * 2, 3, ((0, 2), (2, 1)), {0: 2, 1: 2}),
+        (6, hexagon + [(0, 4), (1, 3), (1, 3), (0, 1), (4, 5)],
+         6, ((0, 1), (1, 5), (5, 2), (1, 3), (0, 4)), {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}),
+    ]
+    for n, edges, faces, tree_edges, mult in cases:
+        g = MultiGraph(n, edges)
+        dual = build_dual(find_outer_cycle(g))
+        assert (dual.n, dual.tree_edges, dual.mult) == (faces, tree_edges, mult)
+        assert chromatic_vjtree(dual).exact_div(T) == oracle_flow(g)
 
 
 def test_flow_frozen_values():
@@ -364,7 +384,7 @@ def test_not_outerplanar_names_input_vertices():
 def _unshortened_flow(g):
     # flow_outerplanar's route before paths of degree-2 vertices were
     # shortened: the block walk, the certificate and the dual on g itself.
-    blocks, order = _walk_blocks(g, True)
+    blocks, order = _walk_blocks(g.adjacency(), True)
     if any(len(pairs) == 1 for _, pairs in blocks):
         return ZERO
     loops = g.m - sum(len(pairs) for _, pairs in blocks)
@@ -431,19 +451,19 @@ def test_shortened_paths_match_the_unshortened_route():
     assert len(outcomes) == 6 and min(outcomes.values()) >= 100, outcomes
 
 
-def test_trusted_graphs_stay_normalized(tmp_path):
-    # _shorten and the .gr reader build their graphs with
-    # MultiGraph._trusted, which checks nothing; each graph must equal
-    # the one the checking constructor makes of its edges, whether
-    # _shorten reads the library's pairs or the file's own columns.
+def test_gr_reader_and_shortening_agree_on_pairs_and_columns(tmp_path):
+    # The .gr reader builds its graph with MultiGraph._trusted, which
+    # checks nothing; it must equal the one the checking constructor
+    # makes of its edges.  _shorten must keep the same normalized edges
+    # whether it reads the library's pairs or the file's own columns.
     rng = random.Random(1618)
     path = tmp_path / "g.gr"
     shortened = Counter()
     for i in range(2000):
         g = _mixed_graph(rng, _chain_part if i % 2 else _part)
-        h = _shorten(g.n, g.edges)[0]
-        assert h is None or h == MultiGraph(h.n, h.edges)
-        shortened[h is not None] += 1
+        kept, names, _ = _shorten(g.n, g.edges)
+        assert kept is None or tuple(kept) == MultiGraph(len(names), kept).edges
+        shortened[kept is not None] += 1
         # Written with ends in either order, now and then with a comment
         # that sends the file through the line walk.
         lines = [f"p edge {g.n} {g.m}"]
@@ -456,8 +476,7 @@ def test_trusted_graphs_stay_normalized(tmp_path):
         assert parsed == MultiGraph(parsed.n, parsed.edges) == g
         n, us, vs = cli._gr_columns(str(path))
         read = _shorten(n + 1, outerplanar._Columns(us, vs))[0]
-        assert (read is None) == (h is None)
-        assert read is None or read == MultiGraph(read.n, read.edges) == h
+        assert read == kept
     assert min(shortened[True], shortened[False]) >= 200, shortened
 
 
@@ -470,42 +489,50 @@ def _scaling_bench():
 
 
 def test_shortening_at_scale_and_its_absence(monkeypatch):
+    built = []
     walked = []
 
-    def walk_blocks(h, with_order):
-        walked.append(h)
-        return _walk_blocks(h, with_order)
+    def adjacency(n, pairs):
+        built.append((n, pairs))
+        return _adjacency(n, pairs)
 
+    def walk_blocks(adj, with_order):
+        walked.append(adj)
+        return _walk_blocks(adj, with_order)
+
+    monkeypatch.setattr(outerplanar, "_adjacency", adjacency)
     monkeypatch.setattr(outerplanar, "_walk_blocks", walk_blocks)
     bench = _scaling_bench()
     rng = random.Random(2000)
     g = bench.chorded_polygon(rng, 2000)
-    h, names, ones = _shorten(g.n, g.edges)
-    assert h.n <= 100 and len(names) == h.n and ones == 0
+    kept, names, ones = _shorten(g.n, g.edges)
+    assert len(names) <= 100 and max(map(max, kept)) < len(names) and ones == 0
     assert flow_outerplanar(g) == _unshortened_flow(g)
     # No path of a fan or of a triangulated polygon has two inner
-    # vertices, so _shorten builds no graph and the block walk gets the
-    # caller's graph itself, with no copy.
+    # vertices, so _shorten keeps no edges and the block walk gets the
+    # adjacency lists of the caller's own edges, with no copy of them.
     for g in (bench.fan(rng, 600), bench.triangulated(rng, 600)):
-        h, names, ones = _shorten(g.n, g.edges)
-        assert h is None and names is None and ones == 0
+        kept, names, ones = _shorten(g.n, g.edges)
+        assert kept is None and names is None and ones == 0
+        built.clear()
         walked.clear()
         assert flow_outerplanar(g) == _unshortened_flow(g)
-        assert len(walked) == 1 and walked[0] is g
+        assert len(built) == 1 and built[0][0] == g.n and built[0][1] is g.edges
+        assert len(walked) == 1 and walked[0] == g.adjacency()
     # Loops, a triangle and a digon on their own leave only their (t - 1)
     # factors; two paths from vertex 3 back to itself become digons.
     g = MultiGraph(10, [(0, 1), (1, 2), (2, 0), (8, 8), (3, 3), (8, 9), (8, 9),
                         (3, 4), (4, 5), (5, 3), (3, 6), (6, 7), (7, 3)])
-    h, names, ones = _shorten(g.n, g.edges)
-    assert sorted(h.edges) == [(0, 1), (0, 1), (0, 2), (0, 2)] and ones == 4
+    kept, names, ones = _shorten(g.n, g.edges)
+    assert sorted(kept) == [(0, 1), (0, 1), (0, 2), (0, 2)] and ones == 4
     assert names[0] == 3 and {names[1], names[2]} <= {4, 5, 6, 7}
     assert flow_outerplanar(g) == _unshortened_flow(g) == TM1**6
 
 
 def test_loops_counted_once_when_nothing_is_shortened():
     # A fan, or a triangle with a doubled side, has no path with two
-    # inner vertices, so _shorten builds no graph and the graph itself
-    # serves, loops and all; its count is the loops' only (t - 1)
+    # inner vertices, so _shorten keeps no edges and the graph's own
+    # serve, loops and all; its count is the loops' only (t - 1)
     # factors.  A plain triangle is one cycle and is counted with them.
     rng = random.Random(4242)
     triangle = [(0, 1), (1, 2), (0, 2)]
@@ -513,9 +540,9 @@ def test_loops_counted_once_when_nothing_is_shortened():
                             *((n, fan_polygon(n), 0) for n in (4, 5, 6, 7))]:
         for loops in (1, 2, 3):
             g = shuffle_labels(rng, n, base + [(v, v) for v in rng.choices(range(n), k=loops)])
-            h, names, ones = _shorten(g.n, g.edges)
+            kept, names, ones = _shorten(g.n, g.edges)
             assert ones == loops + cycles
-            assert (h is None and names is None) == (not cycles)
+            assert (kept is None and names is None) == (not cycles)
             assert flow_outerplanar(g) == oracle_flow(g, force=True)
 
 

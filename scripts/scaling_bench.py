@@ -14,6 +14,11 @@ the same as for tree.
 --family wheel times chromatic_wheel on random 0/1 phi-strings, each
 entry joined with probability 1/2; its rows are the same as for tree.
 
+--family flow-wheel times flow_wheel on random phi-strings of entries
+0 to 3, each cut short where its spoke total would pass the command
+line's limit (cli.MAX_PHI_TOTAL), so the 4096 row holds about 2730
+entries and 4096 spokes; its rows are the same as for tree.
+
 --family clique times chromatic_clique_join on cliques with a quarter
 of the vertices, picked at random, joined to the apex; its rows are
 the same as for tree.
@@ -21,8 +26,9 @@ the same as for tree.
 For every family but bridged, each row also gives what a user of the
 command line waits for: the best time of `chromaflow chromatic tree`
 (on the instance written as a .vjt file), `chromaflow chromatic wheel`,
-`chromaflow chromatic clique` or `chromaflow flow outerplanar` (on the
-graph written as a .gr file), run in this process through cli.run
+`chromaflow flow wheel`, `chromaflow chromatic clique` or `chromaflow
+flow outerplanar` (on the graph written as a .gr file), run in this
+process through cli.run
 with stdout captured, and the bytes it prints.  A wheel longer than
 the command line's limit (cli.MAX_PHI_LENGTH) gets no command-line
 time.
@@ -65,18 +71,19 @@ import random
 import tempfile
 import time
 
-from chromaflow.cli import MAX_PHI_LENGTH, run
+from chromaflow.cli import MAX_PHI_LENGTH, MAX_PHI_TOTAL, run
 from chromaflow.generators import fan_polygon, random_caterpillar, shuffle_labels, triangulated_polygon
 from chromaflow.multigraph import MultiGraph
 from chromaflow.outerplanar import flow_outerplanar
 from chromaflow.vjtree import VertexJoinTree, chromatic_vjtree
-from chromaflow.wheels import PhiString, chromatic_clique_join, chromatic_wheel
+from chromaflow.wheels import PhiString, chromatic_clique_join, chromatic_wheel, flow_wheel
 
 DEFAULT_SIZES = {
     "tree": "512,1024,2048,4096",
     "bridged": "1024,2048,4096,8192",
     "outerplanar": "6000,12000,24000,48000",
     "wheel": "512,1024,2048,4096,8192",
+    "flow-wheel": "512,1024,2048,4096",
     "triangulated": "512,1024,2048,4096",
     "fan": "512,1024,2048,4096",
     "clique": "512,1024,2048,4096",
@@ -94,6 +101,19 @@ def bridged_tree(rng: random.Random, n: int) -> VertexJoinTree:
 def random_wheel(rng: random.Random, n: int) -> PhiString:
     """Random 0/1 phi-string of n entries."""
     return PhiString(tuple(rng.randint(0, 1) for _ in range(n)))
+
+
+def spoked_wheel(rng: random.Random, n: int) -> PhiString:
+    """Random phi-string of up to n entries from 0 to 3, at most MAX_PHI_TOTAL spokes."""
+    values: list[int] = []
+    total = 0
+    for _ in range(n):
+        a = rng.randint(0, 3)
+        if total + a > MAX_PHI_TOTAL:
+            break
+        values.append(a)
+        total += a
+    return PhiString(tuple(values))
 
 
 def joined_clique(rng: random.Random, n: int) -> tuple[int, dict[int, int]]:
@@ -155,6 +175,11 @@ def wheel_argv(phi: PhiString, workdir: str) -> list[str] | None:
     return ["chromatic", "wheel", "--phi", ",".join(map(str, phi.values))]
 
 
+def flow_wheel_argv(phi: PhiString, workdir: str) -> list[str]:
+    """`flow wheel` on phi; it needs no file."""
+    return ["flow", "wheel", "--phi", ",".join(map(str, phi.values))]
+
+
 def clique_argv(instance: tuple[int, dict[int, int]], workdir: str) -> list[str]:
     """`chromatic clique` on (n, mult); it needs no file."""
     n, mult = instance
@@ -180,7 +205,8 @@ def main() -> None:
     ap.add_argument("--family", choices=sorted(DEFAULT_SIZES), default="tree")
     ap.add_argument("--sizes", help="comma-separated vertex counts (default: 512..4096 "
                     "for tree, clique, triangulated and fan, 1024..8192 for bridged, "
-                    "6000..48000 for outerplanar, 512..8192 for wheel)")
+                    "6000..48000 for outerplanar, 512..8192 for wheel, 512..4096 "
+                    "for flow-wheel)")
     ap.add_argument("--seed", type=int, default=1007)
     ap.add_argument("--repeat", type=int, default=1,
                     help="runs per size; fastest is reported")
@@ -190,14 +216,15 @@ def main() -> None:
     args = ap.parse_args()
     sizes = [int(s) for s in (args.sizes or DEFAULT_SIZES[args.family]).split(",")]
     make = {"tree": random_caterpillar, "bridged": bridged_tree, "outerplanar": chorded_polygon,
-            "wheel": random_wheel, "triangulated": triangulated, "fan": fan,
-            "clique": joined_clique}[args.family]
+            "wheel": random_wheel, "flow-wheel": spoked_wheel, "triangulated": triangulated,
+            "fan": fan, "clique": joined_clique}[args.family]
     compute = {"outerplanar": flow_outerplanar, "triangulated": flow_outerplanar,
-               "fan": flow_outerplanar, "wheel": chromatic_wheel,
+               "fan": flow_outerplanar, "wheel": chromatic_wheel, "flow-wheel": flow_wheel,
                "clique": lambda nm: chromatic_clique_join(*nm)}.get(args.family, chromatic_vjtree)
     show_bits = args.family != "outerplanar"
     argv_of = {"tree": tree_argv, "clique": clique_argv, "outerplanar": gr_argv,
-               "triangulated": gr_argv, "fan": gr_argv, "wheel": wheel_argv}.get(args.family)
+               "triangulated": gr_argv, "fan": gr_argv, "wheel": wheel_argv,
+               "flow-wheel": flow_wheel_argv}.get(args.family)
 
     rng = random.Random(args.seed)
     print(f"{'n':>8} {'seconds':>10} {'ratio':>7}" + (f" {'max coeff bits':>15}" if show_bits else "")

@@ -7,12 +7,12 @@ zero polynomial as `poly 0`); `--eval t1,t2,...` appends exact
 integer evaluations.  Exit codes: 0 ok, 1 domain error, 2 parse or
 usage error.  Identical inputs give byte-identical output.
 
-The output is Theta(n^2) bits of decimal text.  Trees, cliques and
-outerplanar graphs end in one product, which the Kronecker multiply
-already holds as decimal digits, one slot per coefficient, so they
-print from those slots (polyring._decimals) with string operations
-alone; only --eval reads the product back into ints.  Wheels and the
-oracle print from their IntPoly.
+The output is Theta(n^2) bits of decimal text.  Trees, cliques,
+wheels and outerplanar graphs end in one product (a wheel's plus a
+short term), which the Kronecker multiply already holds as decimal
+digits, one slot per coefficient, so they print from those slots
+(polyring._decimals) with string operations alone; only --eval reads
+the product back into ints.  The oracle prints from its IntPoly.
 
 A .gr file is read into two columns of its own 1-based ids
 (_gr_columns).  `flow outerplanar` hands them to the series reduction
@@ -33,7 +33,7 @@ from .oracle import oracle_chromatic, oracle_flow
 from . import outerplanar, vjtree
 from .polyring import IntPoly, _decimals, _digits, _digits_to_int, _Packed, _read
 from .vjtree import VertexJoinTree
-from .wheels import PhiString, _clique_top, chromatic_wheel, flow_wheel, phi_dual
+from .wheels import PhiString, _chromatic_top, _clique_top, _flow_top, phi_dual
 
 # Size limits checked before anything is allocated for the input.
 # On a 2-core Xeon VM, chromatic clique --n 4096 with a quarter of the
@@ -172,8 +172,7 @@ def parse_gr_file(path: str) -> MultiGraph:
     and library callers build this graph.
     """
     n, us, vs = _gr_columns(path)
-    return MultiGraph._trusted(
-        n, [(u - 1, v - 1) if u <= v else (v - 1, u - 1) for u, v in zip(us, vs)])
+    return MultiGraph(n, [(u - 1, v - 1) for u, v in zip(us, vs)])
 
 
 def _gr_columns(path: str) -> tuple[int, list[int], list[int]]:
@@ -378,14 +377,14 @@ def _dispatch(args) -> list[str]:
         phi = _phi_arg(args.phi)
         if phi.n > MAX_PHI_LENGTH:
             raise InvalidSize(f"phi string of {phi.n} entries exceeds the limit {MAX_PHI_LENGTH}")
-        poly = chromatic_wheel(phi)
+        poly = _chromatic_top(phi)
     elif cmd == ("flow", "outerplanar"):
         # Slot 0 of the columns' range is an isolated vertex, so the
         # vertices, and the messages, keep the file's ids.
         n, us, vs = _gr_columns(args.file)
         poly = outerplanar._top(n + 1, outerplanar._Columns(us, vs))
     elif cmd == ("flow", "wheel"):
-        poly = flow_wheel(_dual_phi_arg(args.phi))
+        poly = _flow_top(_dual_phi_arg(args.phi))
     elif cmd == ("dual", "phi"):
         out = phi_dual(_dual_phi_arg(args.phi))
         return ["phi " + ",".join(str(a) for a in out.values)]

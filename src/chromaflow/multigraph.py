@@ -10,10 +10,8 @@ shifts down by one.  All u-v copies vanish, so contraction never
 creates a loop.
 
 Every MultiGraph holds each edge normalized, 0 <= u <= v < n, in a
-tuple.  The constructor checks and normalizes the edges it is given;
-the private MultiGraph._trusted stores edges that already satisfy that
-invariant as they are, for the .gr reader, which checks every id and
-normalizes every edge itself.
+tuple.  Its one constructor checks and normalizes the edges it is
+given, those of the .gr reader too.
 
 The block walk (_walk_blocks) reads adjacency lists, not a graph, and
 one function (_adjacency) makes them from pairs in either order, so the
@@ -43,15 +41,6 @@ class MultiGraph:
             norm.append((u, v) if u <= v else (v, u))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
-
-    @classmethod
-    def _trusted(cls, n: int, edges: Iterable[tuple[int, int]]) -> MultiGraph:
-        # A graph on edges the caller guarantees are normalized,
-        # 0 <= u <= v < n, with n >= 0; nothing is checked again.
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", tuple(edges))
-        return g
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiGraph is immutable")

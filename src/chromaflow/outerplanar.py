@@ -72,7 +72,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotBiconnected, NotOuterplanar
 from .multigraph import MultiGraph, _adjacency, _walk_blocks
@@ -89,15 +90,26 @@ class OuterCycle:
     order starts at the smallest vertex and runs toward its smaller
     cycle neighbor, so equal graphs yield identical certificates.  A
     two-vertex order marks the degenerate parallel-bundle cycle.
-    parallel_count counts the copies of each distinct edge, never a loop.
-    intervals holds the chords as (i, j) positions in order, i < j,
-    sorted by i and then by decreasing j: outer chords first.
+    parallel_count counts the copies of each distinct edge, never a loop,
+    in a read-only copy of the mapping it is given.  intervals holds the
+    chords as (i, j) positions in order, i < j, sorted by i and then by
+    decreasing j: outer chords first.
     """
 
     order: tuple[int, ...]
     chord_set: tuple[Edge, ...]
-    parallel_count: dict[Edge, int]
+    parallel_count: Mapping[Edge, int]
     intervals: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parallel_count", MappingProxyType(dict(self.parallel_count)))
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.chord_set, frozenset(self.parallel_count.items()), self.intervals))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; its dict can.
+        return OuterCycle, (self.order, self.chord_set, dict(self.parallel_count), self.intervals)
 
 
 def find_outer_cycle(g: MultiGraph) -> OuterCycle:

@@ -28,7 +28,9 @@ product of the factors' l1 norms, so a width from the sum of their l1
 bit lengths holds them.  A packed product carries that sum (bits) to
 the next multiply, which sizes its slots from it without reading the
 digits; for a packed top it bounds the output, n coefficients of under
-2^bits each.
+2^bits each.  Adding a short polynomial to a packed top (_plus, the
+wheels' +-(t - 2) term) keeps it packed: the sum's bound is one bit more
+than the larger of the two, and the digits add at the width it gives.
 
 Powers of a linear factor, (t - a)^k, come from their binomial row
 (linear_power) in O(k) small-integer steps; the closed forms and the
@@ -529,6 +531,17 @@ def _at_two_power(group: list[IntPoly], bits: int) -> IntPoly:
 
 def _read(top: IntPoly | _Packed) -> IntPoly:
     return top if isinstance(top, IntPoly) else IntPoly(_unpack(top))
+
+
+def _plus(top: IntPoly | _Packed, q: IntPoly) -> IntPoly | _Packed:
+    # top + q for a q shorter than top; a packed top stays packed.
+    # l1(top + q) <= l1(top) + l1(q) < 2^(max of their bounds + 1), so
+    # one more bit bounds the sum, and the two add as digits at its width.
+    if isinstance(top, IntPoly):
+        return top + q
+    bits = max(top.bits, _l1_bits(q.coeffs)) + 1
+    w = _width(bits)
+    return _Packed.of(_EXACT.add(top.at_width(w), _pack(q.coeffs, w)), top.n, bits)
 
 
 def _merge(p: IntPoly | _Packed, q: IntPoly | _Packed) -> _Packed:

@@ -63,6 +63,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSize, InvalidTree, InvalidVertex
@@ -87,7 +88,10 @@ _Matrix = tuple[tuple[IntPoly, ...], ...]
 
 @dataclass(frozen=True)
 class VertexJoinTree:
-    """Tree on 0..n-1 with apex multiplicities (absent vertices mean 0)."""
+    """Tree on 0..n-1 with apex multiplicities (absent vertices mean 0).
+
+    mult is a read-only view of the nonzero multiplicities.
+    """
 
     n: int
     tree_edges: tuple[tuple[int, int], ...]
@@ -127,7 +131,14 @@ class VertexJoinTree:
             if m:
                 cleaned[v] = m
         object.__setattr__(self, "tree_edges", edges)
-        object.__setattr__(self, "mult", cleaned)
+        object.__setattr__(self, "mult", MappingProxyType(cleaned))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.tree_edges, frozenset(self.mult.items())))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; its dict can.
+        return VertexJoinTree, (self.n, self.tree_edges, dict(self.mult))
 
     @property
     def support(self) -> tuple[int, ...]:

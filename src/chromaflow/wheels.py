@@ -26,13 +26,21 @@ back onto c0's state and multiplying by t - 1 gives
 
 one factor per face, of size m_i + 2; an ordinary wheel gives the
 known W = (t - 2)^n + (-1)^n (t - 2).  With no joined vertex W is
-P(C_n).  The flow polynomial is W of the dual wheel.  In the dual
-string the a_i spokes at vertex i become a_i - 1 zeros and one nonzero
-entry, so the dual's runs are the multiplicities a_i > 0 and
+P(C_n) = t (t - 1) D_(n-1), where D_0 = 0 gives the one-vertex loop.
+The flow polynomial is W of the dual wheel.  In the dual string the
+a_i spokes at vertex i become a_i - 1 zeros and one nonzero entry, so
+the dual's runs are the multiplicities a_i > 0 and
 
   F = (t - 2) (-1)^s + prod_(a_i > 0) D_(a_i + 1),
 
 which is t - 1 when there is no spoke.  Nothing here divides.
+
+Each polynomial is one product plus a short term (_chromatic_top,
+_flow_top), as every other family's is one product: P = t W multiplies
+the factor t into the product's first factor, the (t - 2)^c row of the
+faces of size 3, and adds (-1)^n t (t - 2).  A wide product stays
+packed through the addition (polyring._plus), so the command line
+prints it from its digits.
 
 The paper's closed formulas (spoke-by-spoke deletion-contraction, each
 term a chain of cycle polynomials over t(t-1) per gluing) stay at the
@@ -53,15 +61,20 @@ from .polyring import (
     IntPoly,
     _face_factors,
     _Packed,
+    _plus,
     _product,
     _read,
     balanced_product,
     chromatic_cycle,
+    cycle_quotient,
 )
 
 _TM1 = IntPoly((-1, 1))
-_TM2 = IntPoly((-2, 1))
 _TTM1 = IntPoly((0, -1, 1))
+# (-1)^k (t - 2) and (-1)^k t (t - 2) at k mod 2: the short terms of
+# the flow and chromatic tops.
+_SIGNED_TM2 = (IntPoly((-2, 1)), IntPoly((2, -1)))
+_SIGNED_TTM2 = (IntPoly((0, -2, 1)), IntPoly((0, 2, -1)))
 
 
 @dataclass(frozen=True)
@@ -150,12 +163,19 @@ def _clique_top(n: int, mult: Mapping[int, int]) -> IntPoly | _Packed:
 
 def chromatic_wheel(phi: PhiString) -> IntPoly:
     """Chromatic polynomial of the wheel: t times the face product."""
+    return _read(_chromatic_top(phi))
+
+
+def _chromatic_top(phi: PhiString) -> IntPoly | _Packed:
+    # t W (module docstring), packed when it is wide.
     joined = [i for i, a in enumerate(phi.values) if a]
     if not joined:
-        return IntPoly((0, *chromatic_cycle(phi.n).coeffs))
+        # t P(C_n) = t^2 (t - 1) D_(n-1).
+        return _product([IntPoly((0, 0, -1, 1)), cycle_quotient(phi.n - 1)])
     # Cycle edges between consecutive joined vertices, the last run wrapping.
     runs = [j - i for i, j in zip(joined, [*joined[1:], joined[0] + phi.n])]
-    return IntPoly((0, *_face_product(runs).coeffs))
+    row, *faces = _face_factors(runs)
+    return _plus(_product([IntPoly((0, *row.coeffs)), *faces]), _SIGNED_TTM2[phi.n % 2])
 
 
 def flow_wheel(phi: PhiString) -> IntPoly:
@@ -166,13 +186,13 @@ def flow_wheel(phi: PhiString) -> IntPoly:
     the product is zero; with none (a bare cycle and an isolated apex)
     it is the empty product plus t - 2, that is t - 1.
     """
-    return _face_product([a for a in phi.values if a])
+    return _read(_flow_top(phi))
 
 
-def _face_product(runs: list[int]) -> IntPoly:
-    # W = (t - 2)(-1)^(sum of runs) + prod D_(m+1) (module docstring).
-    product = balanced_product(_face_factors(runs))
-    return product - _TM2 if sum(runs) % 2 else product + _TM2
+def _flow_top(phi: PhiString) -> IntPoly | _Packed:
+    # F (module docstring), packed when it is wide.
+    runs = [a for a in phi.values if a]
+    return _plus(_product(_face_factors(runs)), _SIGNED_TM2[sum(runs) % 2])
 
 
 # -- reference formulas ------------------------------------------------------

@@ -361,6 +361,12 @@ def _cutoff_corpus(rng: random.Random, tmp_path) -> list[tuple[list[str], IntPol
                                                              [v + 1 for _, v in g.edges]))
         cases.append((["flow", "outerplanar", path], flow_outerplanar(g), top))
 
+    def wheel(values: list[int]) -> None:
+        phi = PhiString(tuple(values))
+        arg = "--phi=" + ",".join(map(str, values))
+        cases.append((["chromatic", "wheel", arg], wheels.chromatic_wheel(phi), wheels._chromatic_top(phi)))
+        cases.append((["flow", "wheel", arg], wheels.flow_wheel(phi), wheels._flow_top(phi)))
+
     for c in CUTOFF_SIZES:
         # Two factors of c coefficients each: a path brick of c edges
         # (D_c) and the bridge row of c - 2 pendant vertices; and two
@@ -378,6 +384,13 @@ def _cutoff_corpus(rng: random.Random, tmp_path) -> list[tuple[list[str], IntPol
     # Cliques whose last product goes from ints to packed digits.
     for n in range(105, 115):
         clique(n, [rng.randint(1, n) for _ in range(n // 4)])
+    # Wheels: all spokes, none, one, and random multiplicities 0-3.
+    for n in (*CUTOFF_SIZES, 512):
+        wheel([1] * n)
+        wheel([0] * n)
+        wheel([0] * (n - 1) + [rng.randint(1, 3)])
+        wheel([rng.randint(0, 3) for _ in range(n)])
+    wheel([0])
     # A bridge, a clique with no join and one-vertex cliques.
     graph(MultiGraph(52, fan_polygon(51) + [(50, 51)]))
     clique(200, [])
@@ -387,13 +400,16 @@ def _cutoff_corpus(rng: random.Random, tmp_path) -> list[tuple[list[str], IntPol
 
 
 def test_cli_prints_the_library_polynomial(tmp_path, capsys):
-    # Trees, cliques and outerplanar graphs print from the packed digits
-    # of their last product; the line must be str() of the library's
-    # coefficients, and --eval must read the same polynomial back.
+    # Trees, cliques, wheels and outerplanar graphs print from the
+    # packed digits of their last product, a wheel's plus its short
+    # term; the line must be str() of the library's coefficients, and
+    # --eval must read the same polynomial back.
     cases = _cutoff_corpus(random.Random(20), tmp_path)
-    for family in ("tree", "clique", "outerplanar"):
-        packed = {isinstance(top, _Packed) for argv, _, top in cases if argv[1] == family}
-        assert packed == {False, True}, family
+    commands = {tuple(argv[:2]) for argv, _, _ in cases}
+    assert len(commands) == 5
+    for command in commands:
+        packed = {isinstance(top, _Packed) for argv, _, top in cases if tuple(argv[:2]) == command}
+        assert packed == {False, True}, command
     assert any(not poly for _, poly, _ in cases)
     for argv, poly, _ in cases:
         code, out, err = invoke(capsys, *argv)
@@ -634,7 +650,7 @@ def test_gr_header_size_guard(tmp_path, monkeypatch, capsys):
         calls.append(n)
         return ZERO
 
-    monkeypatch.setattr(cli.MultiGraph, "_trusted", fake_graph)
+    monkeypatch.setattr(cli, "MultiGraph", fake_graph)
     path = write(tmp_path, "huge.gr", f"p edge {cli.MAX_GR_VERTICES + 1} 0\n")
     with pytest.raises(ParseError, match="exceeds the limit"):
         parse_gr_file(path)
@@ -690,13 +706,12 @@ def test_phi_total_guard(monkeypatch, capsys):
         calls.append(phi.s)
         return PhiString((1, 1, 1))
 
-    def fake_face_product(runs):
-        # flow wheel's runs are the spoke multiplicities; they sum to s.
-        calls.append(sum(runs))
+    def fake_flow_top(phi):
+        calls.append(phi.s)
         return IntPoly((0, 1))
 
     monkeypatch.setattr(cli, "phi_dual", fake_dual)
-    monkeypatch.setattr(wheels, "_face_product", fake_face_product)
+    monkeypatch.setattr(cli, "_flow_top", fake_flow_top)
     for command in (("dual", "phi"), ("flow", "wheel")):
         code, out, err = invoke(capsys, *command, "--phi", f"1,{cli.MAX_PHI_TOTAL}")
         assert code == 1 and out == "" and err.startswith("error: InvalidSize: ")
@@ -708,12 +723,11 @@ def test_phi_total_guard(monkeypatch, capsys):
 def test_phi_length_guard(monkeypatch, capsys):
     calls = []
 
-    def fake_face_product(runs):
-        # chromatic wheel's runs are cycle-edge gaps; they sum to n.
-        calls.append(sum(runs))
+    def fake_chromatic_top(phi):
+        calls.append(phi.n)
         return IntPoly((0, 1))
 
-    monkeypatch.setattr(wheels, "_face_product", fake_face_product)
+    monkeypatch.setattr(cli, "_chromatic_top", fake_chromatic_top)
     code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", ",".join(["1"] * 4097))
     assert code == 1 and out == ""
     assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import pickle
 import random
 import re
 from collections import Counter
@@ -18,7 +19,7 @@ from chromaflow.generators import (fan_polygon, random_outerplanar, random_outer
                                    shuffle_labels, triangulated_polygon)
 from chromaflow.multigraph import MultiGraph, _adjacency, _walk_blocks
 from chromaflow.oracle import oracle_flow
-from chromaflow.outerplanar import (_certify, _reject_crossing_chords, _shorten, build_dual,
+from chromaflow.outerplanar import (OuterCycle, _certify, _reject_crossing_chords, _shorten, build_dual,
                                     find_outer_cycle, flow_outerplanar)
 from chromaflow.polyring import IntPoly, T, ZERO, balanced_product, linear_power
 from chromaflow.vjtree import chromatic_vjtree
@@ -48,6 +49,22 @@ def test_find_outer_cycle_square_with_diagonal():
     oc = find_outer_cycle(g)
     assert oc.order == (0, 1, 2, 3)
     assert oc.chord_set == ((0, 2),)
+
+
+def test_parallel_count_is_read_only_and_certificates_hash_like_they_compare():
+    # The counts cannot be changed through the certificate, nor through
+    # the mapping it was built from; equal certificates hash alike.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 2)]
+    oc = find_outer_cycle(MultiGraph(4, edges))
+    with pytest.raises(TypeError):
+        oc.parallel_count[(1, 2)] = 1
+    counts = Counter(edges)
+    built = OuterCycle(oc.order, oc.chord_set, counts, oc.intervals)
+    counts[(0, 1)] += 5
+    assert oc.parallel_count == built.parallel_count == Counter(edges)
+    assert oc == built and hash(oc) == hash(built) and len({oc, built}) == 1
+    assert oc != find_outer_cycle(MultiGraph(4, edges[:-1]))
+    assert pickle.loads(pickle.dumps(oc)) == oc
 
 
 def test_find_outer_cycle_rejections():
@@ -452,10 +469,10 @@ def test_shortened_paths_match_the_unshortened_route():
 
 
 def test_gr_reader_and_shortening_agree_on_pairs_and_columns(tmp_path):
-    # The .gr reader builds its graph with MultiGraph._trusted, which
-    # checks nothing; it must equal the one the checking constructor
-    # makes of its edges.  _shorten must keep the same normalized edges
-    # whether it reads the library's pairs or the file's own columns.
+    # The .gr reader's graph must equal the library's graph of the same
+    # edges, whichever order the file writes their ends in.  _shorten
+    # must keep the same normalized edges whether it reads the
+    # library's pairs or the file's own columns.
     rng = random.Random(1618)
     path = tmp_path / "g.gr"
     shortened = Counter()

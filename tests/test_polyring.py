@@ -22,9 +22,12 @@ from chromaflow.polyring import (
     ZERO,
     IntPoly,
     _decimals,
+    _l1_bits,
     _merge,
     _mul_schoolbook,
+    _pack,
     _Packed,
+    _plus,
     _product,
     _read,
     _unpack,
@@ -374,6 +377,59 @@ def test_merge_chain_at_the_edge_of_its_bound(k, negate):
     assert top.w == _width(top.bits)
     assert _unpack(top) == expect
     assert list(_decimals(top)) == [str(c) for c in expect]
+
+
+def _check_plus(top, q):
+    expect = IntPoly(_unpack(top)) + q
+    total = _plus(top, q)
+    assert isinstance(total, _Packed) and total.n == top.n
+    assert total.bits == max(top.bits, _l1_bits(q.coeffs)) + 1 and total.w == _width(total.bits)
+    assert list(_decimals(total)) == [str(c) for c in expect.coeffs]
+    assert _unpack(total) == list(expect.coeffs)
+    assert _plus(_read(top), q) == expect
+
+
+def test_plus_keeps_a_packed_top_packed():
+    # q flips the sign of slot 0 or 1, zeroes it, or is wider than the
+    # top's bound; the borrows of the packed sum must come out right.
+    rng = random.Random(28)
+    seen = {"flipped": 0, "zeroed": 0, "wider": 0}
+    for i in range(900):
+        a = _random_coeffs(rng, rng.randint(2, 60), rng.randint(1, 120), 0.3)
+        b = _random_coeffs(rng, rng.randint(2, 60), rng.randint(1, 120), 0.3)
+        top = _merge(IntPoly(a), IntPoly(b))
+        cs = _unpack(top)
+        k = rng.randrange(2)
+        q = [rng.randint(-3, 3), rng.randint(-3, 3)]
+        kind = list(seen)[i % 3]
+        if kind == "flipped" and cs[k]:
+            q[k] = -2 * cs[k]
+        elif kind == "zeroed" and cs[k]:
+            q[k] = -cs[k]
+        elif kind == "wider":
+            q[k] = rng.choice((-1, 1)) * 2 ** (top.bits + rng.randint(0, 40))
+        else:
+            continue
+        if not any(q):
+            continue
+        _check_plus(top, IntPoly(q))
+        seen[kind] += 1
+    assert min(seen.values()) >= 150, seen
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_plus_widens_a_top_at_the_edge_of_its_width(negate):
+    # A bound b with _width(b + 1) > _width(b): the constant terms of the
+    # top and of q, each under 2^b, sum past half of 10^_width(b), so
+    # only the sum's extra bit of bound gives it a wide enough slot.
+    b = next(b for b in range(100, 200) if _width(b + 1) > _width(b))
+    sign = -1 if negate else 1
+    cs = [sign * (2**b - 2), *[0] * 50, 1]
+    top = _Packed.of(_pack(cs, _width(b)), len(cs), b)
+    q = IntPoly((sign * (2**b - 2), 1))
+    assert _l1_bits(cs) == _l1_bits(q.coeffs) == b
+    assert 2 * abs(cs[0] + q.coeffs[0]) >= 10 ** _width(b)
+    _check_plus(top, q)
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ against the reference sweep.
 
 from __future__ import annotations
 
+import pickle
 import random
 from copy import deepcopy
 from dataclasses import fields
@@ -62,6 +63,21 @@ def test_constructor_validation():
         VertexJoinTree(2, ((0, 3),), {})
     with pytest.raises(InvalidVertex):
         VertexJoinTree(2, ((0, 1),), {5: 1})
+
+
+def test_mult_is_read_only_and_trees_hash_like_they_compare():
+    # A multiplicity cannot be changed after the checks, so a zero can
+    # never leave a vertex in support; equal trees hash alike.
+    t = path3({2: 1, 0: 2})
+    with pytest.raises(TypeError):
+        t.mult[0] = 0
+    with pytest.raises(TypeError):
+        del t.mult[2]
+    assert t.support == (0, 2) and t.mult == {0: 2, 2: 1}
+    same, other = path3({0: 2, 2: 1}), path3({0: 1, 2: 1})
+    assert t == same and hash(t) == hash(same) and t != other
+    assert {t, same, other} == {t, other} and same in {t}
+    assert pickle.loads(pickle.dumps(t)) == deepcopy(t) == t
 
 
 def test_realize_shape():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromaflow import cli
 from chromaflow.errors import InvalidSize, NoSpokes
 from chromaflow.generators import random_phi
 from chromaflow.multigraph import MultiGraph
@@ -24,6 +27,7 @@ from chromaflow.wheels import (
     flow_wheel,
     phi_dual,
 )
+from test_outerplanar import _scaling_bench
 
 SETTINGS = settings(max_examples=60, deadline=None)
 TM1 = IntPoly((-1, 1))
@@ -228,3 +232,29 @@ def test_plain_wheel_512():
     phi = PhiString((1,) * n)
     assert chromatic_wheel(phi) == T * flow
     assert flow_wheel(phi) == flow
+
+
+def test_scaling_bench_flow_wheel_at_tiny_sizes(monkeypatch, tmp_path, capsys):
+    # The flow-wheel family's strings hold entries 0 to 3 and stop short
+    # of the command line's spoke limit; each row times flow_wheel and
+    # `flow wheel` on the same string.
+    bench = _scaling_bench()
+    rng = random.Random(5)
+    assert bench.spoked_wheel(rng, 16).n == 16
+    phi = bench.spoked_wheel(rng, 4096)
+    assert set(phi.values) <= {0, 1, 2, 3} and phi.n < 4096
+    assert cli.MAX_PHI_TOTAL - 3 < phi.s <= cli.MAX_PHI_TOTAL
+    assert cli.run(bench.flow_wheel_argv(phi, str(tmp_path))) == 0
+    capsys.readouterr()
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["scaling_bench.py", "--family", "flow-wheel",
+                                      "--sizes", "4,16", "--seed", "3", "--json"])
+    bench.main()
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    rows = json.loads((tmp_path / "BENCH_scaling-flow-wheel.json").read_text())["rows"]
+    rng = random.Random(3)
+    for row, n in zip(rows, (4, 16), strict=True):
+        flow = flow_wheel(bench.spoked_wheel(rng, n))
+        assert row["n"] == n and row["cli_seconds"] is not None
+        assert row["output_bytes"] == len("poly " + " ".join(map(str, flow.coeffs or (0,))) + "\n")

@@ -26,14 +26,18 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from .errors import ChromaflowError, InvalidSize, InvalidVertex, ParseError
-from .multigraph import MultiGraph
-from .oracle import oracle_chromatic, oracle_flow
-from . import outerplanar, vjtree
 from .polyring import IntPoly, _decimals, _digits, _digits_to_int, _Packed, _read
-from .vjtree import VertexJoinTree
-from .wheels import PhiString, _chromatic_top, _clique_top, _flow_top, phi_dual
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from .multigraph import MultiGraph
+    from .vjtree import VertexJoinTree
+    from .wheels import PhiString
 
 # Size limits checked before anything is allocated for the input.
 # On a 2-core Xeon VM, chromatic clique --n 4096 with a quarter of the
@@ -55,6 +59,20 @@ MAX_PHI_LENGTH = 4096
 
 # int()'s decimal syntax once surrounding whitespace is stripped.
 _DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+# The family modules (wheels, vjtree, outerplanar, multigraph, oracle),
+# each imported by the first call that needs it and kept here, so that a
+# process loads only the modules its commands run.
+_FAMILIES: dict[str, ModuleType] = {}
+
+
+def _family(name: str) -> ModuleType:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        module = _FAMILIES[name] = import_module(f".{name}", __package__)
+        return module
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,7 +174,7 @@ def parse_vjt_file(path: str) -> VertexJoinTree:
     if len(edges) != n - 1:
         raise ParseError(f"{path}: expected {n - 1} edge lines, found {len(edges)}")
     try:
-        return VertexJoinTree(n, tuple(edges), mult)
+        return _family("vjtree").VertexJoinTree(n, tuple(edges), mult)
     except ChromaflowError as exc:
         raise ParseError(f"{path}: {exc}")
 
@@ -172,7 +190,7 @@ def parse_gr_file(path: str) -> MultiGraph:
     and library callers build this graph.
     """
     n, us, vs = _gr_columns(path)
-    return MultiGraph(n, [(u - 1, v - 1) for u, v in zip(us, vs)])
+    return _family("multigraph").MultiGraph(n, [(u - 1, v - 1) for u, v in zip(us, vs)])
 
 
 def _gr_columns(path: str) -> tuple[int, list[int], list[int]]:
@@ -347,7 +365,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _phi_arg(text: str) -> PhiString:
-    return PhiString(tuple(_int_list(text, "--phi")))
+    return _family("wheels").PhiString(tuple(_int_list(text, "--phi")))
 
 
 def _dual_phi_arg(text: str) -> PhiString:
@@ -363,7 +381,7 @@ def _dual_phi_arg(text: str) -> PhiString:
 def _dispatch(args) -> list[str]:
     cmd = (args.command, args.subcommand)
     if cmd == ("chromatic", "tree"):
-        poly = vjtree._top(parse_vjt_file(args.file))
+        poly = _family("vjtree")._top(parse_vjt_file(args.file))
     elif cmd == ("chromatic", "clique"):
         if args.n > MAX_CLIQUE_N:
             raise InvalidSize(f"clique of {args.n} vertices exceeds the limit {MAX_CLIQUE_N}")
@@ -372,26 +390,27 @@ def _dispatch(args) -> list[str]:
             if not 0 < v <= args.n:
                 raise InvalidVertex(f"joined vertex {v} outside 1..{args.n}")
             mult[v - 1] = mult.get(v - 1, 0) + 1
-        poly = _clique_top(args.n, mult)
+        poly = _family("wheels")._clique_top(args.n, mult)
     elif cmd == ("chromatic", "wheel"):
         phi = _phi_arg(args.phi)
         if phi.n > MAX_PHI_LENGTH:
             raise InvalidSize(f"phi string of {phi.n} entries exceeds the limit {MAX_PHI_LENGTH}")
-        poly = _chromatic_top(phi)
+        poly = _family("wheels")._chromatic_top(phi)
     elif cmd == ("flow", "outerplanar"):
         # Slot 0 of the columns' range is an isolated vertex, so the
         # vertices, and the messages, keep the file's ids.
         n, us, vs = _gr_columns(args.file)
+        outerplanar = _family("outerplanar")
         poly = outerplanar._top(n + 1, outerplanar._Columns(us, vs))
     elif cmd == ("flow", "wheel"):
-        poly = _flow_top(_dual_phi_arg(args.phi))
+        poly = _family("wheels")._flow_top(_dual_phi_arg(args.phi))
     elif cmd == ("dual", "phi"):
-        out = phi_dual(_dual_phi_arg(args.phi))
+        out = _family("wheels").phi_dual(_dual_phi_arg(args.phi))
         return ["phi " + ",".join(str(a) for a in out.values)]
     elif cmd == ("oracle", "chromatic"):
-        poly = oracle_chromatic(parse_gr_file(args.file), force=args.force)
+        poly = _family("oracle").oracle_chromatic(parse_gr_file(args.file), force=args.force)
     elif cmd == ("oracle", "flow"):
-        poly = oracle_flow(parse_gr_file(args.file), force=args.force)
+        poly = _family("oracle").oracle_flow(parse_gr_file(args.file), force=args.force)
     else:  # pragma: no cover - argparse enforces the command set
         raise ParseError(f"unknown command {cmd}")
 

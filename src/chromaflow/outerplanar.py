@@ -71,7 +71,6 @@ from flow_outerplanar, the file's from the CLI.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -83,7 +82,6 @@ from .vjtree import VertexJoinTree, _factors
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class OuterCycle:
     """Canonical outerplanar certificate of one biconnected multigraph.
 
@@ -96,16 +94,35 @@ class OuterCycle:
     decreasing j: outer chords first.
     """
 
+    __slots__ = ("order", "chord_set", "parallel_count", "intervals")
+
     order: tuple[int, ...]
     chord_set: tuple[Edge, ...]
     parallel_count: Mapping[Edge, int]
     intervals: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parallel_count", MappingProxyType(dict(self.parallel_count)))
+    def __init__(self, order: tuple[int, ...], chord_set: tuple[Edge, ...],
+                 parallel_count: Mapping[Edge, int], intervals: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "chord_set", chord_set)
+        object.__setattr__(self, "parallel_count", MappingProxyType(dict(parallel_count)))
+        object.__setattr__(self, "intervals", intervals)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("OuterCycle is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OuterCycle):
+            return NotImplemented
+        return ((self.order, self.chord_set, self.parallel_count, self.intervals)
+                == (other.order, other.chord_set, other.parallel_count, other.intervals))
 
     def __hash__(self) -> int:
         return hash((self.order, self.chord_set, frozenset(self.parallel_count.items()), self.intervals))
+
+    def __repr__(self) -> str:
+        return (f"OuterCycle(order={self.order!r}, chord_set={self.chord_set!r}, "
+                f"parallel_count={self.parallel_count!r}, intervals={self.intervals!r})")
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled or deep-copied; its dict can.

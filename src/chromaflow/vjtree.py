@@ -61,13 +61,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSize, InvalidTree, InvalidVertex
-from .multigraph import MultiGraph
 from .polyring import (
     T,
     ZERO,
@@ -80,35 +78,39 @@ from .polyring import (
     linear_power,
 )
 
+if TYPE_CHECKING:
+    from .multigraph import MultiGraph
+
 _TM2 = IntPoly((-2, 1))
 
 # A polynomial matrix as a tuple of rows.
 _Matrix = tuple[tuple[IntPoly, ...], ...]
 
 
-@dataclass(frozen=True)
 class VertexJoinTree:
     """Tree on 0..n-1 with apex multiplicities (absent vertices mean 0).
 
     mult is a read-only view of the nonzero multiplicities.
     """
 
+    __slots__ = ("n", "tree_edges", "mult")
+
     n: int
     tree_edges: tuple[tuple[int, int], ...]
     mult: Mapping[int, int]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidTree(f"tree needs at least one vertex, got n={self.n}")
-        edges = tuple(tuple(e) for e in self.tree_edges)
-        if len(edges) != self.n - 1:
-            raise InvalidTree(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(edges)}")
+    def __init__(self, n: int, tree_edges: Iterable[tuple[int, int]], mult: Mapping[int, int]):
+        if n < 1:
+            raise InvalidTree(f"tree needs at least one vertex, got n={n}")
+        edges = tuple(tuple(e) for e in tree_edges)
+        if len(edges) != n - 1:
+            raise InvalidTree(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
         for u, v in edges:
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise InvalidVertex(f"tree edge ({u}, {v}) outside 0..{self.n - 1}")
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise InvalidVertex(f"tree edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise InvalidTree(f"tree edge ({u}, {v}) is a loop")
-        parent = list(range(self.n))
+        parent = list(range(n))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -122,19 +124,31 @@ class VertexJoinTree:
                 raise InvalidTree("tree edges contain a cycle")
             parent[ru] = rv
         cleaned = {}
-        for v in sorted(self.mult):
-            m = self.mult[v]
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"joined vertex {v} outside 0..{self.n - 1}")
+        for v in sorted(mult):
+            m = mult[v]
+            if not (0 <= v < n):
+                raise InvalidVertex(f"joined vertex {v} outside 0..{n - 1}")
             if m < 0:
                 raise InvalidSize(f"multiplicity of vertex {v} is negative")
             if m:
                 cleaned[v] = m
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "tree_edges", edges)
         object.__setattr__(self, "mult", MappingProxyType(cleaned))
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("VertexJoinTree is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VertexJoinTree):
+            return NotImplemented
+        return (self.n, self.tree_edges, self.mult) == (other.n, other.tree_edges, other.mult)
+
     def __hash__(self) -> int:
         return hash((self.n, self.tree_edges, frozenset(self.mult.items())))
+
+    def __repr__(self) -> str:
+        return f"VertexJoinTree(n={self.n!r}, tree_edges={self.tree_edges!r}, mult={self.mult!r})"
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled or deep-copied; its dict can.
@@ -154,14 +168,15 @@ class VertexJoinTree:
 
     def realize(self) -> MultiGraph:
         """Explicit multigraph: tree plus apex vertex n with its parallel edges."""
+        from .multigraph import MultiGraph
+
         edges = list(self.tree_edges)
         for v in self.support:
             edges.extend([(v, self.n)] * self.mult[v])
         return MultiGraph(self.n + 1, edges)
 
 
-@dataclass(frozen=True)
-class BridgeReduction:
+class BridgeReduction(NamedTuple):
     """Result of stripping bridges: the spanning core and the factor count."""
 
     core: VertexJoinTree
@@ -369,8 +384,7 @@ class NodeState(NamedTuple):
     ph: IntPoly
 
 
-@dataclass(frozen=True)
-class LeveledTree:
+class LeveledTree(NamedTuple):
     """Core tree rooted for the sweep."""
 
     root: int

@@ -51,11 +51,9 @@ stepwise recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InvalidSize, InvalidVertex, NoSpokes
-from .multigraph import MultiGraph
 from .polyring import (
     T,
     IntPoly,
@@ -69,6 +67,9 @@ from .polyring import (
     cycle_quotient,
 )
 
+if TYPE_CHECKING:
+    from .multigraph import MultiGraph
+
 _TM1 = IntPoly((-1, 1))
 _TTM1 = IntPoly((0, -1, 1))
 # (-1)^k (t - 2) and (-1)^k t (t - 2) at k mod 2: the short terms of
@@ -77,19 +78,37 @@ _SIGNED_TM2 = (IntPoly((-2, 1)), IntPoly((2, -1)))
 _SIGNED_TTM2 = (IntPoly((0, -2, 1)), IntPoly((0, 2, -1)))
 
 
-@dataclass(frozen=True)
 class PhiString:
     """Spoke multiplicities around the cycle, clockwise."""
 
+    __slots__ = ("values",)
+
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
+    def __init__(self, values: Iterable[int]):
+        vals = tuple(values)
         if len(vals) < 1:
             raise InvalidSize("phi string must have at least one entry")
         if any(a < 0 for a in vals):
             raise InvalidSize("phi entries must be nonnegative")
         object.__setattr__(self, "values", vals)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PhiString is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhiString):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"PhiString(values={self.values!r})"
+
+    def __reduce__(self):
+        return PhiString, (self.values,)
 
     @property
     def n(self) -> int:
@@ -105,6 +124,8 @@ class PhiString:
 
     def realize(self) -> MultiGraph:
         """Explicit multigraph: cycle 0..n-1 plus apex vertex n."""
+        from .multigraph import MultiGraph
+
         n = self.n
         if n == 1:
             cycle = [(0, 0)]
@@ -200,8 +221,7 @@ def _flow_top(phi: PhiString) -> IntPoly | _Packed:
 # the tests compare chromatic_wheel and flow_wheel against.
 
 
-@dataclass(frozen=True)
-class FaceDecomposition:
+class FaceDecomposition(NamedTuple):
     """Bounded face sizes of a wheel, clockwise from the first spoke."""
 
     n: int

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import subprocess
@@ -12,6 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 import chromaflow.cli as cli
+import chromaflow.multigraph as multigraph
 import chromaflow.outerplanar as outerplanar
 import chromaflow.vjtree as vjtree
 import chromaflow.wheels as wheels
@@ -505,16 +507,90 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.stderr.startswith("error: NoSpokes: ")
 
 
+def first_calls(tmp_path):
+    """One small command line per subcommand, by (command, subcommand)."""
+    vjt = write(tmp_path, "first.vjt", "vjt 3\nedge 1 2\nedge 2 3\njoin 1 1\njoin 3 1\n")
+    gr = write(tmp_path, "first.gr", "p edge 4 5\ne 1 2\ne 2 3\ne 3 4\ne 4 1\ne 1 3\n")
+    return {
+        ("chromatic", "tree"): ["chromatic", "tree", vjt],
+        ("chromatic", "clique"): ["chromatic", "clique", "--n", "5", "--join", "1,2"],
+        ("chromatic", "wheel"): ["chromatic", "wheel", "--phi", "1,0,1,1"],
+        ("flow", "outerplanar"): ["flow", "outerplanar", gr],
+        ("flow", "wheel"): ["flow", "wheel", "--phi", "1,0,2"],
+        ("dual", "phi"): ["dual", "phi", "--phi", "1,0,2"],
+        ("oracle", "chromatic"): ["oracle", "chromatic", gr],
+        ("oracle", "flow"): ["oracle", "flow", gr],
+    }
+
+
+# In a fresh interpreter: the digit limit before and after importing
+# chromaflow.cli, and after the first call of each command line in argv[1].
+_DIGIT_LIMITS = """
+import contextlib, io, json, sys
+limits = [sys.get_int_max_str_digits()]
+import chromaflow.cli
+limits.append(sys.get_int_max_str_digits())
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert chromaflow.cli.run(argv) == 0, argv
+    limits.append(sys.get_int_max_str_digits())
+print(*limits)
+"""
+
+
 @needs_digit_limit
-def test_import_leaves_digit_limit_alone():
-    code = (
-        "import sys; before = sys.get_int_max_str_digits(); "
-        "import chromaflow.cli; print(before, sys.get_int_max_str_digits())"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def test_import_leaves_digit_limit_alone(tmp_path):
+    # A command's family module loads on its first call, so the first
+    # call of every subcommand must leave the limit alone too.
+    calls = list(first_calls(tmp_path).values())
+    proc = subprocess.run([sys.executable, "-c", _DIGIT_LIMITS, json.dumps(calls)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    before, after = proc.stdout.split()
-    assert before == after
+    limits = proc.stdout.split()
+    assert len(limits) == 2 + len(calls)
+    assert set(limits) == {limits[0]}
+
+
+# In a fresh interpreter: the modules that importing chromaflow.cli adds,
+# the exit code of the command line in argv[1:], and the modules that
+# the import and the call add together.
+_IMPORT_SET = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import chromaflow.cli
+imported = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = chromaflow.cli.run(sys.argv[1:])
+print(json.dumps([sorted(imported - before), rc, sorted(set(sys.modules) - before)]))
+"""
+
+_CLI_MODULES = {"chromaflow", "chromaflow.cli", "chromaflow.errors", "chromaflow.polyring"}
+_FAMILY_MODULES = {
+    ("chromatic", "tree"): {"vjtree"},
+    ("chromatic", "clique"): {"wheels"},
+    ("chromatic", "wheel"): {"wheels"},
+    ("flow", "outerplanar"): {"outerplanar", "vjtree", "multigraph"},
+    ("flow", "wheel"): {"wheels"},
+    ("dual", "phi"): {"wheels"},
+    ("oracle", "chromatic"): {"oracle", "multigraph"},
+    ("oracle", "flow"): {"oracle", "multigraph"},
+}
+
+
+@pytest.mark.parametrize("command", list(_FAMILY_MODULES), ids=" ".join)
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    argv = first_calls(tmp_path)[command]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    on_import, rc, after_call = json.loads(proc.stdout)
+
+    def ours(modules):
+        return {m for m in modules if m.split(".")[0] == "chromaflow"}
+
+    assert rc == 0
+    assert ours(on_import) == _CLI_MODULES
+    assert ours(after_call) == _CLI_MODULES | {f"chromaflow.{m}" for m in _FAMILY_MODULES[command]}
+    assert not {"dataclasses", "inspect"} & set(after_call)
 
 
 @needs_digit_limit
@@ -635,7 +711,7 @@ def test_clique_size_guard(monkeypatch, capsys):
         calls.append(n)
         return IntPoly((1,))
 
-    monkeypatch.setattr(cli, "_clique_top", fake_clique)
+    monkeypatch.setattr(wheels, "_clique_top", fake_clique)
     code, out, err = invoke(capsys, "chromatic", "clique", "--n", str(cli.MAX_CLIQUE_N + 1))
     assert code == 1 and out == "" and calls == []
     assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1
@@ -650,7 +726,7 @@ def test_gr_header_size_guard(tmp_path, monkeypatch, capsys):
         calls.append(n)
         return ZERO
 
-    monkeypatch.setattr(cli, "MultiGraph", fake_graph)
+    monkeypatch.setattr(multigraph, "MultiGraph", fake_graph)
     path = write(tmp_path, "huge.gr", f"p edge {cli.MAX_GR_VERTICES + 1} 0\n")
     with pytest.raises(ParseError, match="exceeds the limit"):
         parse_gr_file(path)
@@ -710,8 +786,8 @@ def test_phi_total_guard(monkeypatch, capsys):
         calls.append(phi.s)
         return IntPoly((0, 1))
 
-    monkeypatch.setattr(cli, "phi_dual", fake_dual)
-    monkeypatch.setattr(cli, "_flow_top", fake_flow_top)
+    monkeypatch.setattr(wheels, "phi_dual", fake_dual)
+    monkeypatch.setattr(wheels, "_flow_top", fake_flow_top)
     for command in (("dual", "phi"), ("flow", "wheel")):
         code, out, err = invoke(capsys, *command, "--phi", f"1,{cli.MAX_PHI_TOTAL}")
         assert code == 1 and out == "" and err.startswith("error: InvalidSize: ")
@@ -727,7 +803,7 @@ def test_phi_length_guard(monkeypatch, capsys):
         calls.append(phi.n)
         return IntPoly((0, 1))
 
-    monkeypatch.setattr(cli, "_chromatic_top", fake_chromatic_top)
+    monkeypatch.setattr(wheels, "_chromatic_top", fake_chromatic_top)
     code, out, err = invoke(capsys, "chromatic", "wheel", "--phi", ",".join(["1"] * 4097))
     assert code == 1 and out == ""
     assert err.startswith("error: InvalidSize: ") and err.count("\n") == 1

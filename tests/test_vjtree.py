@@ -11,7 +11,6 @@ from __future__ import annotations
 import pickle
 import random
 from copy import deepcopy
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -183,7 +182,7 @@ def test_sweep_frozen_values():
 def test_sweep_leaves_leveled_tree_unchanged():
     fan = path3({0: 1, 1: 1, 2: 1})
     lt = build_leveled(fan)
-    assert [f.name for f in fields(lt)] == ["root", "level", "children", "parent"]
+    assert list(lt._fields) == ["root", "level", "children", "parent"]
     before = deepcopy(lt)
     assert sweep(lt, fan) == sweep(lt, fan) == T * TM1 * TM2**2
     assert lt == before

@@ -16,8 +16,9 @@ the checkout this script sits in by default.
 
 The report gives, per subcommand, the median milliseconds of each side,
 the shift, and the chromaflow modules each side had loaded after the
-call.  The inputs are small (about N vertices, and N/8 for the oracle)
-and fixed, so the report measures start-up rather than the algorithms.
+call, with argparse when the call loaded it.  The inputs are small
+(about N vertices, and N/8 for the oracle) and fixed, so the report
+measures start-up rather than the algorithms.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Run in the child: argv is [src, command...]; prints the seconds taken
-# by the import and the call, and the chromaflow modules then loaded.
+# by the import and the call, and the chromaflow modules then loaded,
+# with argparse when the call loaded it.
 _CHILD = """\
 import contextlib, io, json, sys, time
 t0 = time.perf_counter()
@@ -44,7 +46,7 @@ import chromaflow.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = chromaflow.cli.run(sys.argv[2:])
 seconds = time.perf_counter() - t0
-modules = sorted(m for m in sys.modules if m.split(".")[0] == "chromaflow")
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "chromaflow" or m == "argparse")
 print(json.dumps({"rc": rc, "seconds": seconds, "modules": modules}))
 """
 

@@ -23,16 +23,18 @@ oracle commands and library callers.
 
 from __future__ import annotations
 
-import argparse
+import os
 import re
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import ChromaflowError, InvalidSize, InvalidVertex, ParseError
 from .polyring import IntPoly, _decimals, _digits, _digits_to_int, _Packed, _read
 
 if TYPE_CHECKING:
+    import argparse
     from types import ModuleType
 
     from .multigraph import MultiGraph
@@ -73,13 +75,6 @@ def _family(name: str) -> ModuleType:
     except KeyError:
         module = _FAMILIES[name] = import_module(f".{name}", __package__)
         return module
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse's default error handler prints a usage block; the wire
-    # contract wants a single machine-parsable line on stderr.
-    def error(self, message):
-        raise ParseError(message)
 
 
 def _to_int(tok: str) -> int:
@@ -293,75 +288,136 @@ def format_poly(p: IntPoly | _Packed) -> str:
     return "poly " + " ".join(_digits(c) for c in p.coeffs)
 
 
-# The tree parser and its leaf table, built on the first run.
-_PARSERS = None
+# The grammar of every leaf, keyed by (command, subcommand) and declared
+# once: the plain parse reads every command line that names a leaf from
+# it, and _build_parser builds the argparse tree from it for help and
+# usage errors.  A leaf is its help line (None for none), its
+# positional's dest (None when it takes none) and its options, each
+# option string mapped to (dest, type, default, metavar, help); type
+# bool marks a flag, which sets True, and default _REQUIRED an option
+# that must be given.
+_REQUIRED = object()
+_EVAL = {"--eval": ("eval_points", str, None, "t1,t2,...",
+                    "also evaluate the polynomial at these integers")}
+_PHI = {"--phi": ("phi", str, _REQUIRED, "a1,a2,...", None)}
+_FORCE = {"--force": ("force", bool, False, None,
+                      "override the size guard (may take very long)")}
+_LEAVES = {
+    ("chromatic", "tree"): ("generalized vertex join tree from a .vjt file", "file", _EVAL),
+    ("chromatic", "clique"): ("clique joined to an apex", None, {
+        **_EVAL,
+        "--n": ("n", int, _REQUIRED, "N", None),
+        "--join": ("join", str, "", "v1,v2,...",
+                   "1-indexed joined vertices; repeats add multiplicity"),
+    }),
+    ("chromatic", "wheel"): ("generalized wheel from a phi-string", None, {**_EVAL, **_PHI}),
+    ("flow", "outerplanar"): ("outerplanar multigraph from a .gr file", "file", _EVAL),
+    ("flow", "wheel"): ("generalized wheel from a phi-string", None, {**_EVAL, **_PHI}),
+    ("dual", "phi"): ("phi-string of the dual wheel", None, _PHI),
+    ("oracle", "chromatic"): (None, "file", {**_EVAL, **_FORCE}),
+    ("oracle", "flow"): (None, "file", {**_EVAL, **_FORCE}),
+}
+_COMMANDS = {
+    "chromatic": "chromatic polynomials",
+    "flow": "flow polynomials",
+    "dual": "duality transforms",
+    "oracle": "deletion-contraction reference oracle",
+}
 
 
-def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
-    """The command tree and a table from (command, subcommand) to its leaf.
+def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the argparse tree would return for argv, or None.
 
-    A leaf parses the same arguments the tree would hand it and sets
-    the command names the tree would, so a call that names a leaf up
-    front parses in one argparse pass instead of three.
+    It reads argv only when argv names a leaf up front and then gives
+    that leaf's options by their exact option strings, each option that
+    takes a value followed by one that does not start with "-", and the
+    leaf's positional once.  It declines anything else, leaving help,
+    --opt=value, abbreviations, "--", a value the option's type refuses
+    and a missing or extra argument to argparse.
     """
-    parser = _Parser(prog="chromaflow", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--eval", dest="eval_points", metavar="t1,t2,...",
-                        help="also evaluate the polynomial at these integers")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    chromatic = sub.add_parser("chromatic", help="chromatic polynomials")
-    csub = chromatic.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("tree", parents=[common],
-                        help="generalized vertex join tree from a .vjt file")
-    p.add_argument("file")
-    p = csub.add_parser("clique", parents=[common], help="clique joined to an apex")
-    p.add_argument("--n", type=int, required=True, metavar="N")
-    p.add_argument("--join", default="", metavar="v1,v2,...",
-                   help="1-indexed joined vertices; repeats add multiplicity")
-    p = csub.add_parser("wheel", parents=[common], help="generalized wheel from a phi-string")
-    p.add_argument("--phi", required=True, metavar="a1,a2,...")
-
-    flow = sub.add_parser("flow", help="flow polynomials")
-    fsub = flow.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("outerplanar", parents=[common],
-                        help="outerplanar multigraph from a .gr file")
-    p.add_argument("file")
-    p = fsub.add_parser("wheel", parents=[common], help="generalized wheel from a phi-string")
-    p.add_argument("--phi", required=True, metavar="a1,a2,...")
-
-    dual = sub.add_parser("dual", help="duality transforms")
-    dsub = dual.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("phi", help="phi-string of the dual wheel")
-    p.add_argument("--phi", required=True, metavar="a1,a2,...")
-
-    oracle = sub.add_parser("oracle", help="deletion-contraction reference oracle")
-    osub = oracle.add_subparsers(dest="subcommand", required=True)
-    for name in ("chromatic", "flow"):
-        p = osub.add_parser(name, parents=[common])
-        p.add_argument("file")
-        p.add_argument("--force", action="store_true",
-                       help="override the size guard (may take very long)")
-
-    leaves = {}
-    for command, action in (("chromatic", csub), ("flow", fsub), ("dual", dsub), ("oracle", osub)):
-        for name, leaf in action.choices.items():
-            leaf.set_defaults(command=command, subcommand=name)
-            leaves[command, name] = leaf
-    return parser, leaves
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    global _PARSERS
-    if _PARSERS is None:
-        _PARSERS = _build_parser()
-    parser, leaves = _PARSERS
-    leaf = leaves.get(tuple(argv[:2]))
+    leaf = _LEAVES.get(tuple(argv[:2]))
     if leaf is None:
-        # -h above the leaves, unknown commands and usage errors there.
-        return parser.parse_args(argv)
-    return leaf.parse_args(argv[2:])
+        return None
+    _, positional, options = leaf
+    values = {"command": argv[0], "subcommand": argv[1]}
+    i, end = 2, len(argv)
+    while i < end:
+        tok = argv[i]
+        i += 1
+        if tok[:1] != "-":
+            if positional is None or positional in values:
+                return None
+            values[positional] = tok
+            continue
+        try:
+            dest, kind = options[tok][:2]
+        except KeyError:
+            return None
+        if kind is bool:
+            values[dest] = True
+            continue
+        if i == end or argv[i][:1] == "-":
+            return None
+        try:
+            values[dest] = kind(argv[i])
+        except ValueError:
+            return None
+        i += 1
+    if positional is not None and positional not in values:
+        return None
+    for dest, _, default, _, _ in options.values():
+        if dest not in values:
+            if default is _REQUIRED:
+                return None
+            values[dest] = default
+    return SimpleNamespace(**values)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse command tree, built from _LEAVES."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse's default error handler prints a usage block; the wire
+        # contract wants a single machine-parsable line on stderr.
+        def error(self, message):
+            raise ParseError(message)
+
+    parser = _Parser(prog="chromaflow", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        commands[command] = p.add_subparsers(dest="subcommand", required=True)
+    for (command, name), (summary, positional, options) in _LEAVES.items():
+        # A leaf given no help keyword is left out of its command's list.
+        p = commands[command].add_parser(name, **({} if summary is None else {"help": summary}))
+        for opt, (dest, kind, default, metavar, help) in options.items():
+            if kind is bool:
+                p.add_argument(opt, dest=dest, action="store_true", help=help)
+            else:
+                required = default is _REQUIRED
+                p.add_argument(opt, dest=dest, type=kind, required=required,
+                               default=None if required else default, metavar=metavar, help=help)
+        if positional is not None:
+            p.add_argument(positional)
+    return parser
+
+
+# The argparse tree, built on the first command line the plain parse declines.
+_TREE = None
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    global _TREE
+    args = _plain_parse(argv)
+    if args is None:
+        # -h at any level, usage errors, and argv read in ways the plain
+        # parse leaves to argparse.
+        if _TREE is None:
+            _TREE = _build_parser()
+        args = _TREE.parse_args(argv)
+    return args
 
 
 def _phi_arg(text: str) -> PhiString:
@@ -440,7 +496,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point it at devnull so
+        # that the interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

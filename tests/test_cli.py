@@ -507,6 +507,20 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.stderr.startswith("error: NoSpokes: ")
 
 
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # The reader of a megabytes-long line stops after a few bytes, as
+    # `| head -c 20` does.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chromaflow.cli", "chromatic", "clique", "--n", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20).startswith(b"poly 0 ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception" not in err
+
+
 def first_calls(tmp_path):
     """One small command line per subcommand, by (command, subcommand)."""
     vjt = write(tmp_path, "first.vjt", "vjt 3\nedge 1 2\nedge 2 3\njoin 1 1\njoin 3 1\n")
@@ -590,7 +604,37 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     assert rc == 0
     assert ours(on_import) == _CLI_MODULES
     assert ours(after_call) == _CLI_MODULES | {f"chromaflow.{m}" for m in _FAMILY_MODULES[command]}
-    assert not {"dataclasses", "inspect"} & set(after_call)
+    assert not {"dataclasses", "inspect", "argparse"} & set(after_call)
+
+
+# In a fresh interpreter that has not imported argparse: the exit code,
+# stdout and stderr of the command line in argv[1:], and whether
+# argparse is loaded after it.
+_FRESH_CALL = """
+import contextlib, io, json, sys
+assert "argparse" not in sys.modules
+import chromaflow.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    rc = chromaflow.cli.run(sys.argv[1:])
+print(json.dumps([rc, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+"""
+
+
+def test_argparse_loads_for_usage_errors_and_help():
+    # Only help and usage errors build the argparse tree, on their first call.
+    def fresh(*argv):
+        proc = subprocess.run([sys.executable, "-c", _FRESH_CALL, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    rc, out, err, loaded = fresh("chromatic", "wheel")
+    assert (rc, out, loaded) == (2, "", True)
+    assert err == "error: ParseError: the following arguments are required: --phi\n"
+    rc, out, err, loaded = fresh("chromatic", "wheel", "-h")
+    assert (rc, err, loaded) == (0, "", True)
+    assert out.startswith("usage: chromaflow chromatic wheel")
+    assert fresh("chromatic", "wheel", "--phi", "1,1", "--eval", "3") == [0, "poly 0 2 -3 1\neval 3 6\n", "", False]
 
 
 @needs_digit_limit

@@ -88,7 +88,8 @@ def invocation(draw, path: str):
     else:
         args = ["chromatic", "clique", "--n", draw(NUMBER), "--join", draw(NUMBER_LIST)]
     if draw(st.booleans()):
-        args.append(f"--eval={draw(NUMBER_LIST)}")
+        points = draw(NUMBER_LIST)
+        args += draw(st.sampled_from([[f"--eval={points}"], ["--eval", points]]))
     # Drop a token or insert a stray one now and then.
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(args)))

@@ -1,8 +1,9 @@
 """The CLI's fast front end against the slower one it replaced.
 
-`cli._parse` hands a call that names a (command, subcommand) pair
-straight to that leaf parser; the full command tree must parse every
-argv to the same namespace, error or help.  The file readers read a
+`cli._parse` reads a call that names a (command, subcommand) pair with
+a plain parse from that leaf's grammar, and hands every argv the plain
+parse declines to the argparse command tree; the tree alone must parse
+every argv to the same namespace, error or help.  The file readers read a
 file in one piece; a .gr file laid out as a header line and one record
 per line goes through a pass over chunks of its tokens, and every other
 file through a walk over its lines.  Both hand `flow outerplanar` two
@@ -47,7 +48,7 @@ def parse_outcome(parse, args):
 
 @pytest.fixture(scope="module")
 def tree():
-    return cli._build_parser()[0]
+    return cli._build_parser()
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,18 @@ FIXED_ARGV = [
     ["dual", "phi", "--phi", "-1,2"],
     ["chromatic", "clique", "--n", "-3"],
     ["chromatic", "clique", "--n", "x"],
+    ["chromatic", "wheel", "--phi", "1,1", "--eval", "-2"],
+    ["chromatic", "wheel", "--phi", "1,1", "--eval"],
+    ["chromatic", "wheel", "--phi", "--eval", "3"],
+    ["chromatic", "clique", "--n", " 7 "],
+    ["chromatic", "clique", "--n", "1_0"],
+    ["chromatic", "clique", "--n", "3", "--join"],
+    ["chromatic", "tree", ""],
+    ["chromatic", "tree", "-"],
+    ["dual", "phi", "--phi", "1", "--eval", "3"],
+    ["flow", "wheel", "--phi", "1", "--force"],
+    ["oracle", "flow", "--force", "g.gr", "--force"],
+    ["oracle", "chromatic", "g.gr", "--force", "x.gr"],
 ]
 
 
